@@ -67,7 +67,12 @@ bareTicksPerSec(std::uint64_t insts, std::uint64_t seed)
     return static_cast<double>(core.cycle()) / elapsedSec(begin);
 }
 
-/** Full stack: committed instructions per second, DCG + power. */
+/**
+ * Full stack: committed instructions per second, DCG + power. The
+ * clock covers cache prewarm, warm-up and the measured run, so the
+ * count does too: result().instructions holds only the measured part
+ * (the counters reset after warm-up).
+ */
 double
 fullInstrPerSec(std::uint64_t insts, std::uint64_t warmup,
                 std::uint64_t seed)
@@ -77,7 +82,7 @@ fullInstrPerSec(std::uint64_t insts, std::uint64_t warmup,
     Simulator sim(profileByName("gzip"), cfg);
     const auto begin = Clock::now();
     sim.run(insts, warmup);
-    return static_cast<double>(sim.result().instructions) /
+    return static_cast<double>(warmup + sim.result().instructions) /
            elapsedSec(begin);
 }
 

@@ -10,11 +10,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <functional>
-#include <thread>
 
 #include "common/log.hh"
 #include "exp/job.hh"
@@ -37,26 +35,16 @@ specRouteKey(const JobSpec &spec)
     return exp::jobKey(spec.toJob());
 }
 
-void
-sleepRetryHint(const JsonValue &resp)
-{
-    const auto delay_ms = resp.get("retry_after_ms").asU64(250);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(delay_ms ? delay_ms : 250));
-}
-
 /**
  * A response whose failure is the *node's* fault, not the request's:
  * worth retrying on another replica candidate. "draining" is a node on
  * its way out; "forward_failed" is a node that could not reach the
- * key's owner; "unknown_id" is a node that restarted and lost the job
- * table between our submit and our wait.
+ * key's owner.
  */
 bool
 failedOverable(const std::string &code)
 {
-    return code == "draining" || code == "forward_failed" ||
-           code == "unknown_id";
+    return code == "draining" || code == "forward_failed";
 }
 
 } // namespace
@@ -254,113 +242,6 @@ Connection::roundTrip(const JsonValue &req, JsonValue &resp,
 }
 
 // ---------------------------------------------------------------- //
-// ClientBase                                                       //
-// ---------------------------------------------------------------- //
-
-JsonValue
-ClientBase::roundTrip(const JsonValue &req, const std::string &routeKey)
-{
-    for (;;) {
-        JsonValue resp;
-        std::string err;
-        if (tryRoundTrip(req, routeKey, resp, err))
-            return resp;
-        if (!advanceRoute(routeKey))
-            fatal(err);
-    }
-}
-
-std::uint64_t
-ClientBase::submitWithRetry(const JobSpec &spec,
-                            const std::string &routeKey)
-{
-    JsonValue req = JsonValue::object();
-    req.set("op", JsonValue::string("submit"));
-    req.set("job", spec.toJson());
-
-    unsigned busy = 0;
-    for (;;) {
-        JsonValue resp;
-        std::string err;
-        if (!tryRoundTrip(req, routeKey, resp, err)) {
-            if (advanceRoute(routeKey))
-                continue;
-            fatal(err);
-        }
-        if (resp.get("ok").asBool(false))
-            return resp.get("id").asU64(0);
-        const std::string code = resp.get("error").asString();
-        if (code == "busy") {
-            if (++busy >= kMaxBusyRetries)
-                fatal("server stayed busy after ", kMaxBusyRetries,
-                      " retries");
-            // Backpressure: honour the server's retry-after hint.
-            sleepRetryHint(resp);
-            continue;
-        }
-        if (failedOverable(code) && advanceRoute(routeKey))
-            continue;
-        fatal("server rejected job (", code, "): ",
-              resp.get("detail").asString());
-    }
-}
-
-std::vector<RunResult>
-ClientBase::runJobs(const std::vector<JobSpec> &specs)
-{
-    // Content-addressed route keys pin every job — and its later
-    // result fetch — to the ring node that owns it.
-    std::vector<std::string> keys;
-    keys.reserve(specs.size());
-    for (const JobSpec &spec : specs)
-        keys.push_back(specRouteKey(spec));
-
-    std::vector<std::uint64_t> ids;
-    ids.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        ids.push_back(submitWithRetry(specs[i], keys[i]));
-
-    std::vector<RunResult> results;
-    results.reserve(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        std::uint64_t id = ids[i];
-        for (;;) {
-            JsonValue req = JsonValue::object();
-            req.set("op", JsonValue::string("result"));
-            req.set("id", JsonValue::integer(id));
-            req.set("wait", JsonValue::boolean(true));
-            JsonValue resp;
-            std::string err;
-            const bool sent = tryRoundTrip(req, keys[i], resp, err);
-            if (sent && resp.get("ok").asBool(false)) {
-                std::vector<RunResult> one;
-                if (!resultsFromJson(resp.get("result"), one, err) ||
-                    one.size() != 1)
-                    fatal("malformed result for job ", id, ": ", err);
-                onResultServed(keys[i], resp);
-                results.push_back(std::move(one.front()));
-                break;
-            }
-            const std::string code =
-                sent ? resp.get("error").asString() : "";
-            if (sent && !failedOverable(code))
-                fatal("server failed job ", id, " (", code, "): ",
-                      resp.get("detail").asString());
-            // The routed node died (or is dying) with our job: move
-            // this key to its next replica candidate and resubmit —
-            // job ids are per-node and mean nothing elsewhere.
-            if (!advanceRoute(keys[i]))
-                fatal(sent ? "server failed job " +
-                                 std::to_string(id) + " (" + code +
-                                 "): " + resp.get("detail").asString()
-                           : err);
-            id = submitWithRetry(specs[i], keys[i]);
-        }
-    }
-    return results;
-}
-
-// ---------------------------------------------------------------- //
 // ClusterClient                                                    //
 // ---------------------------------------------------------------- //
 
@@ -412,23 +293,29 @@ ClusterClient::connect()
         fatal("client: no server endpoint is reachable");
 }
 
-std::size_t
-ClusterClient::nodeForLocked(const std::string &key) const
+std::uint64_t
+ClusterClient::failovers() const
 {
-    if (key.empty() || eps.size() == 1)
-        return 0;
-    const auto it = routePos.find(key);
-    const std::size_t pos = it == routePos.end() ? 0 : it->second;
-    if (pos == 0)
-        return ring.ownerIndex(key);
-    return ring.ownerIndices(key, eps.size())[pos];
+    std::lock_guard<std::mutex> lock(routeMutex);
+    return failoverCount;
+}
+
+std::uint64_t
+ClusterClient::readRepairs() const
+{
+    std::lock_guard<std::mutex> lock(routeMutex);
+    return readRepairCount;
 }
 
 std::size_t
 ClusterClient::nodeFor(const std::string &key) const
 {
-    std::lock_guard<std::mutex> lock(routeMutex);
-    return nodeForLocked(key);
+    if (key.empty() || eps.size() == 1)
+        return 0;
+    const std::size_t pos = routePosOf(key);
+    if (pos == 0)
+        return ring.ownerIndex(key);
+    return ring.ownerIndices(key, eps.size())[pos];
 }
 
 std::size_t
@@ -440,10 +327,11 @@ ClusterClient::routePosOf(const std::string &key) const
 }
 
 bool
-ClusterClient::advanceRouteLocked(const std::string &routeKey)
+ClusterClient::advanceRoute(const std::string &routeKey)
 {
     if (replicas <= 1 || routeKey.empty() || eps.size() <= 1)
         return false;
+    std::lock_guard<std::mutex> lock(routeMutex);
     std::size_t &pos = routePos[routeKey];
     if (pos + 1 >= eps.size())
         return false;
@@ -452,86 +340,19 @@ ClusterClient::advanceRouteLocked(const std::string &routeKey)
     return true;
 }
 
-bool
-ClusterClient::advanceRoute(const std::string &routeKey)
-{
-    std::lock_guard<std::mutex> lock(routeMutex);
-    return advanceRouteLocked(routeKey);
-}
-
-void
-ClusterClient::onResultServed(const std::string &routeKey,
-                              const JsonValue &resp)
-{
-    if (replicas <= 1 || routeKey.empty())
-        return;
-    if (routePosOf(routeKey) == 0)
-        return;
-
-    // A failover candidate served a key its primary could not:
-    // best-effort push the record back to the primary (client-driven
-    // read-repair). The result tokens are forwarded verbatim, so the
-    // repaired record is byte-identical to the one served.
-    JsonValue push = JsonValue::object();
-    push.set("op", JsonValue::string("replicate"));
-    push.set("key", JsonValue::string(routeKey));
-    push.set("result", resp.get("result"));
-    JsonValue r;
-    std::string err;
-    if (tryExchange(ring.ownerIndex(routeKey), push, r, err) &&
-        r.get("ok").asBool(false)) {
-        std::lock_guard<std::mutex> lock(routeMutex);
-        ++readRepairCount;
-    }
-}
-
-bool
-ClusterClient::tryExchange(std::size_t idx, const JsonValue &req,
-                           JsonValue &resp, std::string &err)
-{
-    PeerPool &p = pool();
-    if (!p.callSync(idx, req, resp, err))
-        return false;
-    if (!resp.get("ok").asBool(false)) {
-        const std::string code = resp.get("error").asString();
-        if (code == "unsupported_version")
-            fatal("server ", eps[idx].str(),
-                  " rejected the protocol version: ",
-                  resp.get("detail").asString());
-        if (code == "not_owner" && resp.has("redirect")) {
-            // Ring disagreement safety net: follow the server's
-            // redirect exactly once.
-            const std::string target =
-                resp.get("redirect").asString();
-            for (std::size_t i = 0; i < eps.size(); ++i) {
-                if (i == idx || eps[i].str() != target)
-                    continue;
-                return p.callSync(i, req, resp, err);
-            }
-            fatal("server ", eps[idx].str(),
-                  " redirected to unknown node '", target, "'");
-        }
-    }
-    return true;
-}
-
 JsonValue
-ClusterClient::exchange(std::size_t idx, const JsonValue &req)
-{
-    JsonValue resp;
-    std::string err;
-    if (!tryExchange(idx, req, resp, err))
-        fatal(err);
-    return resp;
-}
-
-bool
-ClusterClient::tryRoundTrip(const JsonValue &req,
-                            const std::string &routeKey,
-                            JsonValue &resp, std::string &err)
+ClusterClient::roundTrip(const JsonValue &req,
+                         const std::string &routeKey)
 {
     // The link layer stamps the protocol version and request id.
-    return tryExchange(nodeFor(routeKey), req, resp, err);
+    for (;;) {
+        JsonValue resp;
+        std::string err;
+        if (pool().callSync(nodeFor(routeKey), req, resp, err))
+            return resp;
+        if (!advanceRoute(routeKey))
+            fatal(err);
+    }
 }
 
 JsonValue
@@ -539,7 +360,7 @@ ClusterClient::admin(const std::string &verb, const JsonValue &args)
 {
     JsonValue req = args.isObject() ? args : JsonValue::object();
     req.set("op", JsonValue::string(verb));
-    return exchange(0, req);
+    return roundTrip(req);
 }
 
 JsonValue
@@ -577,9 +398,6 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
         std::string key;
         JsonValue resp = JsonValue::null();  ///< done response
         unsigned busy = 0;
-        unsigned redirects = 0;
-        bool hasOverride = false;  ///< one-shot not_owner redirect
-        std::size_t overrideIdx = 0;
     };
 
     /** The shared scoreboard the link thread and this thread meet
@@ -613,7 +431,6 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
         std::size_t idx;
         {
             std::lock_guard<std::mutex> lk(bd->m);
-            JobSt &job = bd->jobs[i];
             if (bd->failed) {
                 // The grid is already doomed: settle without a
                 // result so the caller's drain can finish.
@@ -621,9 +438,7 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
                 bd->cv.notify_all();
                 return;
             }
-            idx = job.hasOverride ? job.overrideIdx
-                                  : nodeFor(job.key);
-            job.hasOverride = false;
+            idx = nodeFor(bd->jobs[i].key);
         }
 
         JsonValue req = JsonValue::object();
@@ -632,7 +447,7 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
         req.set("wait", JsonValue::boolean(true));
 
         p.post(idx, std::move(req),
-               [this, bd, &p, launch, i, idx](PeerReply r) {
+               [this, bd, &p, launch, i](PeerReply r) {
             std::unique_lock<std::mutex> lk(bd->m);
             JobSt &job = bd->jobs[i];
 
@@ -726,32 +541,6 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
                     [launch, i] { (*launch)(i); });
                 return;
             }
-            if (code == "unsupported_version") {
-                fail("server " + eps[idx].str() +
-                     " rejected the protocol version: " +
-                     r.resp.get("detail").asString());
-                return;
-            }
-            if (code == "not_owner" && r.resp.has("redirect")) {
-                // Ring disagreement safety net: follow the server's
-                // redirect exactly once per job.
-                const std::string target =
-                    r.resp.get("redirect").asString();
-                if (job.redirects++ == 0) {
-                    for (std::size_t t = 0; t < eps.size(); ++t) {
-                        if (t == idx || eps[t].str() != target)
-                            continue;
-                        job.hasOverride = true;
-                        job.overrideIdx = t;
-                        lk.unlock();
-                        (*launch)(i);
-                        return;
-                    }
-                }
-                fail("server " + eps[idx].str() +
-                     " redirected to unknown node '" + target + "'");
-                return;
-            }
             if (failedOverable(code) && advanceRoute(job.key)) {
                 lk.unlock();
                 (*launch)(i);
@@ -806,7 +595,10 @@ ClusterClient::stats()
     for (std::size_t i = 0; i < eps.size(); ++i) {
         JsonValue req = JsonValue::object();
         req.set("op", JsonValue::string("stats"));
-        const JsonValue resp = exchange(i, req);
+        JsonValue resp;
+        std::string err;
+        if (!pool().callSync(i, req, resp, err))
+            fatal(err);
         if (!resp.get("ok").asBool(false))
             fatal("stats request to ", eps[i].str(), " failed: ",
                   resp.get("error").asString());
@@ -837,30 +629,6 @@ ClusterClient::stats()
         nodes.set(eps[i].str(), std::move(per[i]));
     agg.set("nodes", std::move(nodes));
     return agg;
-}
-
-// ---------------------------------------------------------------- //
-// Client (compatibility wrapper)                                   //
-// ---------------------------------------------------------------- //
-
-namespace {
-
-std::vector<Endpoint>
-singleEndpoint(const std::string &hostPort)
-{
-    Endpoint ep;
-    std::string err;
-    if (!parseEndpoint(hostPort, ep, err))
-        fatal("--server expects HOST:PORT, got ", err);
-    return {ep};
-}
-
-} // namespace
-
-Client::Client(const std::string &hostPort)
-    : ClusterClient(singleEndpoint(hostPort))
-{
-    this->connect();
 }
 
 } // namespace dcg::serve

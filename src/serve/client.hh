@@ -3,46 +3,31 @@
  * Client stack for the dcgserved protocol — the engine room behind
  * `dcgsim --server HOST:PORT[,HOST:PORT...]`.
  *
- * Three layers, rebuilt on the multiplexed link layer:
+ * Two layers:
  *
  *  - Connection: one blocking TCP connection speaking the
  *    newline-JSON protocol. Every failure is reported (bool + error
  *    string), never fatal. An optional timeout bounds connect() and
  *    every recv/send, so a partitioned (blackholed, not merely dead)
  *    peer fails the exchange instead of hanging it. This is the
- *    one-shot transport the pool's legacy fallback and the
- *    DirectPeerTransport still use; the primary client path no longer
- *    opens one per exchange.
+ *    one-shot transport DirectPeerTransport uses; the client proper
+ *    never opens one per exchange.
  *
- *  - ClientBase: the transport-agnostic client API. Subclasses
- *    provide tryRoundTrip(request, routeKey) — one non-fatal exchange
- *    with the node currently routed for a key — plus the failover
- *    hooks advanceRoute()/onResultServed(); the base implements a
- *    sequential submit/wait/backpressure/failover runJobs() on top.
- *    When a node dies mid-grid the base advances the key's route to
- *    the next replica candidate and *resubmits* (job ids are
- *    per-node), so a grid survives any single-node loss as long as a
- *    replica can answer. CLI semantics: an error with no remaining
- *    candidate is fatal() here.
- *
- *  - ClusterClient: ClientBase over a consistent-hash ring of
- *    endpoints, with all traffic multiplexed over one persistent
- *    PeerLink per node (driven by a LinkLoop thread). Speaks protocol
- *    version 4: every frame carries a request id, so many exchanges
- *    share a link concurrently, and runJobs() is overridden to
- *    *pipeline* the grid — each job is a single v4 submit+wait frame
- *    to the node the ring designates, with up to a window of jobs in
- *    flight at once across all nodes. Busy nodes are retried on their
- *    hint, dead or draining nodes fail the affected jobs over along
- *    each key's ring-successor candidates (resubmitting elsewhere),
- *    and when a failover candidate serves a result the primary has
- *    lost, the record is pushed back to the primary (`replicate` op):
- *    client-driven read-repair. Pre-v4 servers are handled by the
- *    link layer's legacy fallback — the client logic never notices.
- *
- *  - Client: thin compatibility wrapper — the original single-socket
- *    "HOST:PORT" constructor and request() surface, now a one-node
- *    ClusterClient. Existing callers compile and behave unchanged.
+ *  - ClusterClient: the client API over a consistent-hash ring of
+ *    endpoints (one endpoint is a ring of one), with all traffic
+ *    multiplexed over one persistent PeerLink per node (driven by a
+ *    LinkLoop thread). Every frame carries a request id, so many
+ *    exchanges share a link concurrently, and runJobs() *pipelines*
+ *    the grid — each job is a single submit+wait frame to the node
+ *    the ring designates, with up to a window of jobs in flight at
+ *    once across all nodes. Busy nodes are retried on their hint;
+ *    dead or draining nodes fail the affected jobs over along each
+ *    key's ring-successor candidates (resubmitting elsewhere — job
+ *    ids are per-node), so a grid survives any single-node loss as
+ *    long as a replica can answer. When a failover candidate serves a
+ *    result the primary has lost, the record is pushed back to the
+ *    primary (`replicate` op): client-driven read-repair. CLI
+ *    semantics: an error with no remaining candidate is fatal().
  *
  * runJobs() returns exactly what a local Engine::run() would have —
  * bit-identical, since RunResult doubles travel as max_digits10
@@ -112,89 +97,12 @@ class Connection
     std::string inBuf;
 };
 
-/** Transport-agnostic client API (CLI semantics: errors are fatal). */
-class ClientBase
-{
-  public:
-    virtual ~ClientBase() = default;
-
-    /** Eagerly establish the transport; fatal() on failure. */
-    virtual void connect() = 0;
-
-    /**
-     * One non-fatal request/response exchange with the node currently
-     * routed for @p routeKey (a jobKey(); "" = the default/first
-     * node). False + @p err on a transport failure; protocol-level
-     * errors come back as a parsed {"ok":false,...} response.
-     */
-    virtual bool tryRoundTrip(const JsonValue &req,
-                              const std::string &routeKey,
-                              JsonValue &resp, std::string &err) = 0;
-
-    /**
-     * Advance @p routeKey to its next replica candidate after a
-     * failure. False (the default) means there is nowhere to fail
-     * over to — the caller escalates to fatal().
-     */
-    virtual bool advanceRoute(const std::string &routeKey)
-    {
-        (void)routeKey;
-        return false;
-    }
-
-    /** Hook: @p resp served a done result for @p routeKey. */
-    virtual void onResultServed(const std::string &routeKey,
-                                const JsonValue &resp)
-    {
-        (void)routeKey;
-        (void)resp;
-    }
-
-    /**
-     * One exchange with the @p routeKey node, failing over along the
-     * key's candidates on transport errors; fatal() when no candidate
-     * is reachable. Protocol-level errors are returned, not judged.
-     */
-    JsonValue roundTrip(const JsonValue &req,
-                        const std::string &routeKey);
-
-    /** The server stats surface (aggregated for multi-node setups). */
-    virtual JsonValue stats() = 0;
-
-    /**
-     * Run @p specs remotely: submit each to its owning node (retrying
-     * on backpressure, failing over and resubmitting on node loss),
-     * then wait for every result. Results come back in request order.
-     * The base implementation is strictly sequential; ClusterClient
-     * overrides it with a pipelined fan-out.
-     */
-    virtual std::vector<RunResult>
-    runJobs(const std::vector<JobSpec> &specs);
-
-    /** Failovers performed while routing requests (0 without them). */
-    std::uint64_t failovers() const { return failoverCount; }
-
-    /** Read-repair pushes that reached the primary (subclass hook). */
-    std::uint64_t readRepairs() const { return readRepairCount; }
-
-  protected:
-    /**
-     * Submit @p spec to the key's routed node; busy-retries, fails
-     * over on transport errors / draining / forward_failed. fatal()
-     * when every candidate is exhausted.
-     */
-    std::uint64_t submitWithRetry(const JobSpec &spec,
-                                  const std::string &routeKey);
-
-    std::uint64_t failoverCount = 0;
-    std::uint64_t readRepairCount = 0;
-};
-
 /**
- * ClientBase over a consistent-hash ring of server endpoints,
- * multiplexing all traffic over one persistent link per node.
+ * The dcgserved client: a consistent-hash ring of server endpoints,
+ * multiplexing all traffic over one persistent link per node (see the
+ * file comment; CLI semantics: unrecoverable errors are fatal()).
  */
-class ClusterClient : public ClientBase
+class ClusterClient
 {
   public:
     /**
@@ -206,31 +114,42 @@ class ClusterClient : public ClientBase
     explicit ClusterClient(std::vector<Endpoint> endpoints,
                            unsigned replicas = 1,
                            unsigned timeoutMs = 0);
-    ~ClusterClient() override;
+    ~ClusterClient();
 
-    void connect() override;
-    bool tryRoundTrip(const JsonValue &req,
-                      const std::string &routeKey, JsonValue &resp,
-                      std::string &err) override;
-    bool advanceRoute(const std::string &routeKey) override;
-    void onResultServed(const std::string &routeKey,
-                        const JsonValue &resp) override;
-    JsonValue stats() override;
+    /** Eagerly establish every link; fatal() on failure. */
+    void connect();
 
     /**
-     * Pipelined grid fan-out: every job is one v4 submit+wait frame
-     * on its owner's link, up to a window in flight at once.
-     * Failover, busy retries and read-repair run per job from the
-     * link thread's completions; results return in request order,
-     * bit-identical to a sequential run.
+     * One exchange with the node currently routed for @p routeKey (a
+     * jobKey(); "" = the first endpoint), failing over along the
+     * key's candidates on transport errors; fatal() when no candidate
+     * is reachable. Protocol-level errors come back as the parsed
+     * {"ok":false,...} response, not judged.
      */
-    std::vector<RunResult>
-    runJobs(const std::vector<JobSpec> &specs) override;
+    JsonValue roundTrip(const JsonValue &req,
+                        const std::string &routeKey = "");
 
-    std::size_t nodeCount() const { return eps.size(); }
+    /** The server stats surface (aggregated for multi-node setups). */
+    JsonValue stats();
+
+    /**
+     * Pipelined grid fan-out: every job is one submit+wait frame on
+     * its owner's link, up to a window in flight at once. Failover,
+     * busy retries and read-repair run per job from the link thread's
+     * completions; results return in request order, bit-identical to
+     * a sequential run.
+     */
+    std::vector<RunResult> runJobs(const std::vector<JobSpec> &specs);
+
+    /** Failovers performed while routing requests. */
+    std::uint64_t failovers() const;
+
+    /** Read-repair pushes that reached the primary. */
+    std::uint64_t readRepairs() const;
+
     const HashRing &ringView() const { return ring; }
 
-    /// @name Typed admin surface (protocol v5 membership verbs)
+    /// @name Typed admin surface (membership verbs)
     ///
     /// Admin verbs address one specific node — the first endpoint
     /// this client was built with (the coordinator of the change) —
@@ -260,20 +179,16 @@ class ClusterClient : public ClientBase
 
     /** Node index currently routed for @p key (candidate chain). */
     std::size_t nodeFor(const std::string &key) const;
-    std::size_t nodeForLocked(const std::string &key) const;
-    bool advanceRouteLocked(const std::string &routeKey);
+
+    /**
+     * Advance @p routeKey to its next replica candidate after a
+     * failure. False means there is nowhere to fail over to.
+     */
+    bool advanceRoute(const std::string &routeKey);
 
     /** The key's current position in its candidate chain (0 =
      *  primary). */
     std::size_t routePosOf(const std::string &key) const;
-
-    /** Non-fatal exchange with node @p idx over its link; follows one
-     *  not_owner redirect. */
-    bool tryExchange(std::size_t idx, const JsonValue &req,
-                     JsonValue &resp, std::string &err);
-
-    /** Fatal variant for surfaces with no failover story (stats). */
-    JsonValue exchange(std::size_t idx, const JsonValue &req);
 
     std::vector<Endpoint> eps;
     HashRing ring;
@@ -282,27 +197,15 @@ class ClusterClient : public ClientBase
     std::unique_ptr<LinkLoop> links;  ///< lazily started
 
     /**
-     * Guards routePos and the ClientBase counters: the pipelined
-     * runJobs() mutates them from the link thread's completions while
-     * the calling thread reads them.
+     * Guards routePos and the counters: the pipelined runJobs()
+     * mutates them from the link thread's completions while the
+     * calling thread reads them.
      */
     mutable std::mutex routeMutex;
     /** Failover state: key -> position in its candidate chain. */
     std::map<std::string, std::size_t> routePos;
-};
-
-/** Compatibility wrapper: the original single-socket client API. */
-class Client : public ClusterClient
-{
-  public:
-    /** Parse "host:port" and connect; fatal() on either failing. */
-    explicit Client(const std::string &hostPort);
-
-    /** Send one request line, return the parsed response line. */
-    JsonValue request(const JsonValue &req)
-    {
-        return roundTrip(req, "");
-    }
+    std::uint64_t failoverCount = 0;
+    std::uint64_t readRepairCount = 0;
 };
 
 } // namespace dcg::serve

@@ -79,8 +79,20 @@ class Parser
         if (pos >= s.size())
             return fail("unexpected end of input");
         switch (s[pos]) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+              // Bounded recursion: one request line must never be able
+              // to overflow the parsing thread's stack.
+              if (depth == JsonValue::kMaxDepth)
+                  return fail("nesting deeper than " +
+                              std::to_string(JsonValue::kMaxDepth) +
+                              " levels");
+              ++depth;
+              const bool ok = s[pos] == '{' ? parseObject(out)
+                                            : parseArray(out);
+              --depth;
+              return ok;
+          }
           case '"': {
               std::string str;
               if (!parseString(str))
@@ -257,6 +269,7 @@ class Parser
     const std::string &s;
     std::string &error;
     std::size_t pos = 0;
+    unsigned depth = 0;  ///< containers open at pos
 };
 
 } // namespace

@@ -16,6 +16,8 @@
  *
  * Supported subset: objects, arrays, strings (with \uXXXX for the
  * BMP), numbers, booleans, null. Object member order is preserved.
+ * Containers nest at most kMaxDepth deep; deeper input is a parse
+ * error, so a hostile line cannot exhaust the stack.
  */
 
 #ifndef DCG_SERVE_JSON_HH
@@ -32,6 +34,10 @@ class JsonValue
 {
   public:
     enum class Kind { Null, Bool, Number, String, Array, Object };
+
+    /** Deepest container nesting parse() accepts — far above any
+     *  protocol document (a multi-node stats response nests 5 deep). */
+    static constexpr unsigned kMaxDepth = 64;
 
     using Member = std::pair<std::string, JsonValue>;
 

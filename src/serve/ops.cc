@@ -116,8 +116,6 @@ opCatalogJson()
     for (const OpInfo &info : opCatalog()) {
         JsonValue o = JsonValue::object();
         o.set("name", JsonValue::string(info.name));
-        o.set("min_version",
-              JsonValue::integer(std::uint64_t{info.minVersion}));
         o.set("admin", JsonValue::boolean(info.adminOnly));
         o.set("description", JsonValue::string(info.description));
         ops.push(std::move(o));

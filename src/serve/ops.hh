@@ -12,14 +12,10 @@
  * first-class part of the protocol surface — the `stats` response
  * lists it so clients can discover what a server speaks.
  *
- * An OpInfo carries the verb's minimum protocol version and whether
- * it is an *admin* verb (operator surface — mutates the service
- * rather than submitting work). minVersion is enforced on the wire
- * only for verbs introduced after v4: requests never carried a
- * version gate before this registry existed, so gating the historic
- * verbs would break the very v1-v4 clients the envelope promises to
- * keep serving. For the historic verbs the field is catalog
- * documentation.
+ * An OpInfo names the verb and whether it is an *admin* verb
+ * (operator surface — mutates the service rather than submitting
+ * work). The envelope is checked once, before dispatch: every verb
+ * answers the one protocol version the server speaks.
  *
  * Handlers run on the server's I/O thread with private access to the
  * Server (registration happens inside server.cc). A handler either
@@ -46,7 +42,6 @@ class Server;
 struct OpInfo
 {
     std::string name;
-    unsigned minVersion = 1;  ///< enforced on the wire when > 4
     bool adminOnly = false;   ///< operator verb, not a work submission
     std::string description;  ///< one line, for catalogs and docs
 };
@@ -55,7 +50,6 @@ struct OpInfo
 struct OpCall
 {
     const JsonValue &req;     ///< the parsed request line
-    unsigned version;         ///< the request's envelope version
     std::uint64_t connId;     ///< originating connection (for parking)
     JsonValue resp;           ///< the response, unless deferred
     bool deferred = false;    ///< response parked; write nothing now
@@ -88,7 +82,7 @@ const OpInfo *findOp(const std::string &name);
 /** Handler for @p name, or nullptr. */
 const OpHandler *findOpHandler(const std::string &name);
 
-/** The catalog as a JSON array (name/min_version/admin/description)
+/** The catalog as a JSON array (name/admin/description)
  *  — the `ops` member of the stats response. */
 JsonValue opCatalogJson();
 

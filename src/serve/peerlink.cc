@@ -53,10 +53,8 @@ PeerPool::PeerPool(std::vector<Endpoint> peers, Options options)
     : endpoints(std::move(peers)), opts(std::move(options))
 {
     links.resize(endpoints.size());
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    for (std::size_t i = 0; i < endpoints.size(); ++i)
         links[i].ep = endpoints[i];
-        links[i].idx = i;
-    }
 }
 
 std::size_t
@@ -68,7 +66,6 @@ PeerPool::addPeer(const Endpoint &ep)
     endpoints.push_back(ep);
     links.emplace_back();
     links.back().ep = ep;
-    links.back().idx = links.size() - 1;
     return links.size() - 1;
 }
 
@@ -113,17 +110,11 @@ PeerPool::call(std::size_t idx, JsonValue req, PeerCompletion cb)
     const std::uint64_t rid = nextRid++;
     requests_.fetch_add(1, std::memory_order_relaxed);
 
-    if (link.legacy) {
-        toLegacy(idx, rid, std::move(req), std::move(cb));
-        return;
-    }
-
     stampVersion(req, kProtocolVersion);
     req.set("rid", JsonValue::integer(rid));
 
     Pending p;
     p.cb = std::move(cb);
-    p.req = req;
     if (opts.peerTimeoutMs) {
         p.hasDeadline = true;
         p.deadline = Clock::now() +
@@ -134,8 +125,6 @@ PeerPool::call(std::size_t idx, JsonValue req, PeerCompletion cb)
     line += '\n';
 
     link.pending.emplace(rid, std::move(p));
-    if (!link.v4Confirmed)
-        link.fifo.push_back(rid);
 
     if (link.state == Link::State::Up) {
         link.out += line;
@@ -160,9 +149,7 @@ PeerPool::connectAsync(std::size_t idx, PeerCompletion cb)
         return;
     }
     Link &link = links[idx];
-    // A legacy verdict implies traffic already flowed, so the peer is
-    // known reachable; a live link answers immediately too.
-    if (link.state == Link::State::Up || link.legacy) {
+    if (link.state == Link::State::Up) {
         cb(PeerReply{true, okResponse(), ""});
         return;
     }
@@ -370,7 +357,6 @@ PeerPool::failAllPending(Link &link, const std::string &err)
     for (auto &[rid, p] : link.pending)
         cbs.push_back(std::move(p.cb));
     link.pending.clear();
-    link.fifo.clear();
     link.waitq.clear();
     for (PeerCompletion &cb : cbs)
         cb(PeerReply{false, JsonValue::null(), err});
@@ -405,7 +391,6 @@ PeerPool::linkDeath(Link &link, const std::string &why)
     link.state = Link::State::Down;
     link.in.clear();
     link.out.clear();
-    link.v4Confirmed = false;
     armBackoff(link);
     failAllPending(link,
                    "link to " + link.ep.str() + " died: " + why);
@@ -448,7 +433,7 @@ PeerPool::readLink(Link &link)
                 link.in.erase(0, nl + 1);
                 handleResponse(link, line);
                 if (link.fd < 0)
-                    return;  // a callback or downgrade closed us
+                    return;  // a callback or a bad frame closed us
             }
             if (link.in.size() > kMaxResponseLineBytes) {
                 linkDeath(link, "oversized response line");
@@ -477,190 +462,19 @@ PeerPool::handleResponse(Link &link, const std::string &line)
         return;
     }
 
-    if (resp.has("rid")) {
-        // The peer echoes rids: v4 confirmed, the FIFO fallback is
-        // dead weight from here on.
-        link.v4Confirmed = true;
-        link.fifo.clear();
-
-        const std::uint64_t rid = resp.get("rid").asU64(0);
-        auto it = link.pending.find(rid);
-        if (it == link.pending.end())
-            return;  // deadline already failed it; drop the straggler
-        PeerCompletion cb = std::move(it->second.cb);
-        link.pending.erase(it);
-        cb(PeerReply{true, std::move(resp), ""});
+    if (!resp.has("rid")) {
+        // Every response echoes its request's rid; one without it
+        // cannot be matched to anything in flight.
+        linkDeath(link, "response without a rid");
         return;
     }
-
-    if (resp.get("error").asString() == "unsupported_version" &&
-        resp.get("supported").asU64(kProtocolVersion) <
-            kProtocolVersion) {
-        downgradeToLegacy(link);
-        return;
-    }
-
-    // A rid-less, non-rejection response: an in-order peer from
-    // before rid echo existed. Match the oldest in-flight request.
-    while (!link.fifo.empty()) {
-        const std::uint64_t rid = link.fifo.front();
-        link.fifo.pop_front();
-        auto it = link.pending.find(rid);
-        if (it == link.pending.end())
-            continue;  // expired; its response slot is unknowable now
-        PeerCompletion cb = std::move(it->second.cb);
-        link.pending.erase(it);
-        cb(PeerReply{true, std::move(resp), ""});
-        return;
-    }
-    // Nothing to match: drop it (the requests it answered timed out).
-}
-
-void
-PeerPool::downgradeToLegacy(Link &link)
-{
-    legacyFallbacks_.fetch_add(1, std::memory_order_relaxed);
-    link.legacy = true;
-
-    const std::size_t idx = link.idx;
-
-    // The peer rejected (never executed) every pipelined frame, so
-    // replaying them one-shot is safe. Queued-but-unsent frames ride
-    // along too.
-    std::vector<std::pair<std::uint64_t, Pending>> moved;
-    moved.reserve(link.pending.size());
-    for (auto &[rid, p] : link.pending)
-        moved.emplace_back(rid, std::move(p));
-    link.pending.clear();
-    link.fifo.clear();
-    link.waitq.clear();
-    if (link.fd >= 0) {
-        close(link.fd);
-        link.fd = -1;
-    }
-    link.state = Link::State::Down;
-    link.in.clear();
-    link.out.clear();
-
-    for (auto &[rid, p] : moved)
-        toLegacy(idx, rid, std::move(p.req), std::move(p.cb));
-}
-
-void
-PeerPool::toLegacy(std::size_t idx, std::uint64_t rid, JsonValue req,
-                   PeerCompletion cb)
-{
-    legacyPending.emplace(rid, std::move(cb));
-    {
-        std::lock_guard<std::mutex> lock(legacyMutex);
-        legacyQueue.push_back(
-            LegacyTask{endpoints[idx], rid, std::move(req)});
-        if (!legacyThread.joinable())
-            legacyThread = std::thread([this] { legacyLoop(); });
-    }
-    legacyCv.notify_one();
-}
-
-void
-PeerPool::legacyLoop()
-{
-    for (;;) {
-        LegacyTask task;
-        {
-            std::unique_lock<std::mutex> lock(legacyMutex);
-            legacyCv.wait(lock, [&] {
-                return legacyStop || !legacyQueue.empty();
-            });
-            if (legacyQueue.empty())
-                return;  // stop requested, queue drained
-            task = std::move(legacyQueue.front());
-            legacyQueue.pop_front();
-        }
-        PeerReply reply = runLegacy(task);
-        {
-            std::lock_guard<std::mutex> lock(legacyDoneMutex);
-            legacyDone.emplace_back(task.rid, std::move(reply));
-        }
-        wakeOwner();
-    }
-}
-
-PeerReply
-PeerPool::runLegacy(const LegacyTask &task)
-{
-    // Rebuild the request for the one-shot wire: no rid (the peer
-    // would choke or, worse, echo it), version pinned to the last
-    // one-shot protocol, and "wait" peeled off submits so the old
-    // submit + result-wait pair can be replayed explicitly.
-    JsonValue req = JsonValue::object();
-    bool wantWait = false;
-    const bool isSubmit = task.req.get("op").asString() == "submit";
-    for (const auto &[key, value] : task.req.members()) {
-        if (key == "rid" || key == "version")
-            continue;
-        if (key == "wait" && isSubmit) {
-            wantWait = value.asBool(false);
-            continue;
-        }
-        req.set(key, value);
-    }
-    stampVersion(req, kLastOneShotVersion);
-
-    PeerReply reply;
-    Connection conn;
-    std::string err;
-    if (!conn.open(task.ep, err, opts.peerTimeoutMs)) {
-        reply.error = err;
-        return reply;
-    }
-    JsonValue resp;
-    if (!conn.roundTrip(req, resp, err)) {
-        reply.error = err;
-        return reply;
-    }
-    if (isSubmit && wantWait && resp.get("ok").asBool(false)) {
-        // Stage two of the decomposed submit+wait. A non-ok submit
-        // response (busy, draining, not_owner) went back to the
-        // caller above — its retry/failover logic reposts.
-        const JsonValue &ids = resp.get("ids");
-        const std::uint64_t id = resp.has("id")
-                                     ? resp.get("id").asU64(0)
-                                     : ids.items().empty()
-                                           ? 0
-                                           : ids.items().front().asU64(0);
-        JsonValue wait = JsonValue::object();
-        wait.set("op", JsonValue::string("result"));
-        wait.set("id", JsonValue::integer(id));
-        wait.set("wait", JsonValue::boolean(true));
-        stampVersion(wait, kLastOneShotVersion);
-        JsonValue result;
-        if (!conn.roundTrip(wait, result, err)) {
-            reply.error = err;
-            return reply;
-        }
-        resp = std::move(result);
-    }
-    reply.transportOk = true;
-    reply.resp = std::move(resp);
-    return reply;
-}
-
-void
-PeerPool::deliverLegacyDone()
-{
-    std::vector<std::pair<std::uint64_t, PeerReply>> done;
-    {
-        std::lock_guard<std::mutex> lock(legacyDoneMutex);
-        done.swap(legacyDone);
-    }
-    for (auto &[rid, reply] : done) {
-        auto it = legacyPending.find(rid);
-        if (it == legacyPending.end())
-            continue;
-        PeerCompletion cb = std::move(it->second);
-        legacyPending.erase(it);
-        cb(std::move(reply));
-    }
+    const std::uint64_t rid = resp.get("rid").asU64(0);
+    auto it = link.pending.find(rid);
+    if (it == link.pending.end())
+        return;  // deadline already failed it; drop the straggler
+    PeerCompletion cb = std::move(it->second.cb);
+    link.pending.erase(it);
+    cb(PeerReply{true, std::move(resp), ""});
 }
 
 void
@@ -734,8 +548,6 @@ PeerPool::runDue()
         else
             call(inj.idx, std::move(inj.req), std::move(inj.cb));
     }
-
-    deliverLegacyDone();
 
     const auto now = Clock::now();
 
@@ -820,19 +632,10 @@ PeerPool::idle() const
             !link.connectWaiters.empty())
             return false;
     }
-    if (!timers.empty() || !legacyPending.empty())
+    if (!timers.empty())
         return false;
-    {
-        std::lock_guard<std::mutex> lock(injectMutex);
-        if (!injected.empty())
-            return false;
-    }
-    {
-        std::lock_guard<std::mutex> lock(legacyDoneMutex);
-        if (!legacyDone.empty())
-            return false;
-    }
-    return true;
+    std::lock_guard<std::mutex> lock(injectMutex);
+    return injected.empty();
 }
 
 void
@@ -843,26 +646,6 @@ PeerPool::shutdown()
     shutdownDone = true;
     closed_.store(true, std::memory_order_release);
     running_.store(false, std::memory_order_release);
-
-    // Stop the legacy executor: it drains its queue (each task still
-    // completes or fails on its own merits), then exits.
-    {
-        std::lock_guard<std::mutex> lock(legacyMutex);
-        legacyStop = true;
-    }
-    legacyCv.notify_all();
-    if (legacyThread.joinable())
-        legacyThread.join();
-    deliverLegacyDone();
-    {
-        std::vector<PeerCompletion> orphans;
-        for (auto &[rid, cb] : legacyPending)
-            orphans.push_back(std::move(cb));
-        legacyPending.clear();
-        for (PeerCompletion &cb : orphans)
-            cb(PeerReply{false, JsonValue::null(),
-                         "peer pool is shut down"});
-    }
 
     timers.clear();
     for (std::size_t li = 0; li < links.size(); ++li) {

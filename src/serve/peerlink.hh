@@ -1,28 +1,24 @@
 /**
  * @file
  * PeerLink/PeerPool: persistent multiplexed peer connections for the
- * serving layer — the protocol-v4 link layer both dcgserved (peer
- * forwarding, replica pushes, read-repair fetches) and the cluster
- * client (connection pooling, pipelined grid fan-out) are built on.
+ * serving layer — the link layer both dcgserved (peer forwarding,
+ * replica pushes, read-repair fetches) and the cluster client
+ * (connection pooling, pipelined grid fan-out) are built on.
  *
  * One PeerLink is one non-blocking TCP connection to one peer,
- * carrying many requests in flight at once: every frame is tagged
- * with a pool-unique request id ("rid"), responses are matched by rid
- * in whatever order the peer finishes them, and a per-request
- * deadline (from --peer-timeout-ms) fails a slow request without
- * killing the link. Link death — EOF, reset, a malformed frame —
- * fails every in-flight request (callers fail over) and arms an
- * automatic reconnect with exponential backoff; requests issued while
- * the link is down wait for the reconnect instead of failing
- * immediately.
+ * carrying many requests in flight at once: every frame is stamped
+ * with kProtocolVersion and tagged with a pool-unique request id
+ * ("rid"), responses are matched by rid in whatever order the peer
+ * finishes them, and a per-request deadline (from --peer-timeout-ms)
+ * fails a slow request without killing the link. Link death — EOF,
+ * reset, a malformed frame, a response without a rid — fails every
+ * in-flight request (callers fail over) and arms an automatic
+ * reconnect with exponential backoff; requests issued while the link
+ * is down wait for the reconnect instead of failing immediately.
  *
- * Version negotiation is optimistic: frames are pipelined as v4 from
- * the first byte. A peer that answers "unsupported_version"
- * (supported < 4) downgrades the link to legacy mode — every pending
- * and future request on that link is replayed by a background
- * executor over one-shot blocking connections speaking v3, exactly
- * the pre-mux wire behaviour — so a mixed-version cluster keeps
- * working with no configuration.
+ * Every peer is built from the same tree and speaks the same protocol
+ * version, so there is no negotiation: a peer that answers anything
+ * else is treated as a broken link.
  *
  * Threading: a PeerPool is owned by exactly one event loop thread
  * (dcgserved's poll loop, or a LinkLoop's). All link state is touched
@@ -73,15 +69,14 @@ class PeerPool
   public:
     struct Options
     {
-        /** Per-request deadline and per-socket-op bound for the
-         *  legacy one-shot path (0 = none). */
+        /** Per-request deadline (0 = none). */
         unsigned peerTimeoutMs = 0;
         /** Bound on connection establishment. 0 derives it from
          *  peerTimeoutMs, falling back to 10s — a blackholed peer
          *  must never pin a request for the kernel default. */
         unsigned connectTimeoutMs = 0;
         /** Called (from any thread) when the owner loop must wake to
-         *  process injected work or legacy completions. */
+         *  process injected work. */
         std::function<void()> wake;
     };
 
@@ -139,15 +134,15 @@ class PeerPool
     void appendPollFds(std::vector<pollfd> &fds) const
         DCG_OWNER_THREAD;
     void dispatch(const pollfd *fds, std::size_t n) DCG_OWNER_THREAD;
-    /** Injected work, due timers, expired deadlines, reconnects,
-     *  legacy completions. Call once per loop iteration. */
+    /** Injected work, due timers, expired deadlines, reconnects.
+     *  Call once per loop iteration. */
     void runDue() DCG_OWNER_THREAD;
     /** ms until the next deadline/timer (-1 = nothing scheduled). */
     int timeoutHintMs() const DCG_OWNER_THREAD;
-    /** No request in flight anywhere (links, injection, legacy). */
+    /** No request in flight anywhere (links, injection, timers). */
     bool idle() const DCG_OWNER_THREAD;
-    /** Fail everything outstanding, close links, stop the legacy
-     *  executor. Further post()/callSync() fail fast. Idempotent. */
+    /** Fail everything outstanding and close links. Further
+     *  post()/callSync() fail fast. Idempotent. */
     void shutdown() DCG_OWNER_THREAD;
     /// @}
 
@@ -182,17 +177,12 @@ class PeerPool
     {
         return reconnects_.load();
     }
-    std::uint64_t legacyFallbacks() const DCG_ANY_THREAD
-    {
-        return legacyFallbacks_.load();
-    }
     /// @}
 
   private:
     struct Pending
     {
         PeerCompletion cb;
-        JsonValue req;  ///< kept for legacy replay on downgrade
         std::chrono::steady_clock::time_point deadline{};
         bool hasDeadline = false;
     };
@@ -202,19 +192,12 @@ class PeerPool
         enum class State { Down, Connecting, Up };
 
         Endpoint ep;
-        std::size_t idx = 0;  ///< position in links/endpoints
         int fd = -1;
         State state = State::Down;
-        bool legacy = false;       ///< peer speaks <= v3: one-shots
-        bool v4Confirmed = false;  ///< saw a rid-echoing response
         bool everConnected = false;
         std::string out;  ///< bytes awaiting the socket
         std::string in;   ///< partial response line
         std::map<std::uint64_t, Pending> pending;  ///< rid -> request
-        /** Send order, kept until v4 is confirmed: a rid-less
-         *  response (a pre-v4 peer answering in order) matches the
-         *  oldest in-flight request. */
-        std::deque<std::uint64_t> fifo;
         struct Queued
         {
             std::uint64_t rid;
@@ -236,15 +219,6 @@ class PeerPool
         bool connectProbe = false;
     };
 
-    struct LegacyTask
-    {
-        /** Captured at enqueue: the legacy thread must not read the
-         *  endpoint table the owner thread may be growing. */
-        Endpoint ep;
-        std::uint64_t rid = 0;
-        JsonValue req;
-    };
-
     struct Timer
     {
         std::chrono::steady_clock::time_point when;
@@ -262,12 +236,6 @@ class PeerPool
     void flushOut(Link &link);
     void readLink(Link &link);
     void handleResponse(Link &link, const std::string &line);
-    void downgradeToLegacy(Link &link);
-    void toLegacy(std::size_t idx, std::uint64_t rid, JsonValue req,
-                  PeerCompletion cb);
-    void legacyLoop();
-    PeerReply runLegacy(const LegacyTask &task);
-    void deliverLegacyDone();
     unsigned connectTimeoutMs() const;
 
     std::vector<Endpoint> endpoints;
@@ -281,16 +249,6 @@ class PeerPool
     mutable std::mutex injectMutex;
     std::vector<Injected> injected DCG_GUARDED_BY(injectMutex);
 
-    std::mutex legacyMutex;
-    std::condition_variable legacyCv;
-    std::deque<LegacyTask> legacyQueue DCG_GUARDED_BY(legacyMutex);
-    bool legacyStop DCG_GUARDED_BY(legacyMutex) = false;
-    std::thread legacyThread;             ///< started lazily
-    std::map<std::uint64_t, PeerCompletion> legacyPending;  ///< owner
-    mutable std::mutex legacyDoneMutex;
-    std::vector<std::pair<std::uint64_t, PeerReply>> legacyDone
-        DCG_GUARDED_BY(legacyDoneMutex);
-
     std::atomic<bool> running_{false};
     std::atomic<bool> closed_{false};
     bool shutdownDone = false;
@@ -298,7 +256,6 @@ class PeerPool
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> linkDeaths_{0};
     std::atomic<std::uint64_t> reconnects_{0};
-    std::atomic<std::uint64_t> legacyFallbacks_{0};
 };
 
 /**
@@ -357,7 +314,7 @@ class PeerTransport
     }
 };
 
-/** One-shot blocking connections (the pre-mux wire behaviour). */
+/** One-shot blocking connections, one per exchange. */
 class DirectPeerTransport : public PeerTransport
 {
   public:

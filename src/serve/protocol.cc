@@ -245,7 +245,7 @@ requestVersion(const JsonValue &req, unsigned &version,
                std::string &err)
 {
     if (!req.has("version")) {
-        version = 1;  // pre-versioning client
+        version = kProtocolVersion;
         return true;
     }
     const JsonValue &v = req.get("version");
@@ -278,7 +278,7 @@ unsupportedVersionResponse(unsigned requested)
     JsonValue o = errorResponse(
         "unsupported_version",
         "requested protocol version " + std::to_string(requested) +
-            "; this server speaks up to " +
+            "; this server speaks only version " +
             std::to_string(kProtocolVersion));
     o.set("supported",
           JsonValue::integer(std::uint64_t{kProtocolVersion}));
@@ -354,17 +354,6 @@ staleEpochResponse(std::uint64_t epoch,
         "stale_epoch", "this node is already on a newer ring epoch");
     o.set("epoch", JsonValue::integer(epoch));
     o.set("members", memberArray(members));
-    return o;
-}
-
-JsonValue
-versionTooLowResponse(const std::string &op, unsigned minVersion)
-{
-    JsonValue o = errorResponse(
-        "version_too_low", "op '" + op + "' needs protocol version " +
-                               std::to_string(minVersion) + " or newer");
-    o.set("min_version",
-          JsonValue::integer(std::uint64_t{minVersion}));
     return o;
 }
 

@@ -19,26 +19,33 @@
  *   {"op":"compact"}                             -> {"ok":true,"removed":N}
  *   {"op":"shutdown"}                            -> {"ok":true,...}; drains
  *
- * Versioning: every request MAY carry "version": N; a request without
- * one is treated as version 1 (the pre-cluster protocol), so old
- * single-socket clients keep working unchanged. Every response
- * carries "version" echoing the request's (old clients ignore the
- * extra member). A request with a version above kProtocolVersion is
+ * Versioning: every node and client speaks exactly one protocol
+ * version, kProtocolVersion. A request MAY carry "version": N; one
+ * without it is served as the current version. Any other integer is
  * rejected with the structured error "unsupported_version" plus a
- * "supported" member naming the highest version this server speaks.
+ * "supported" member naming kProtocolVersion. Every response carries
+ * "version": kProtocolVersion.
  *
- * Clustering (version 2): in a sharded deployment a submit for a job
- * key this node does not own is transparently forwarded to the owner
- * unless the request carries "redirect": true, in which case the
- * server answers {"ok":false, "error":"not_owner",
- * "redirect":"HOST:PORT"} so a ring-aware client reconnects itself.
+ * Request ids: a request MAY carry "rid", an opaque id chosen by the
+ * sender, and every response echoes it verbatim — including responses
+ * parked behind "wait" and every error. That turns one TCP connection
+ * into a pipelined multiplexed link: many requests in flight,
+ * responses matched by rid in whatever order jobs finish (see
+ * serve/peerlink.hh for the link layer built on this). A single-job
+ * submit accepts "wait": true, which defers the response until the
+ * job finishes and carries the result (or the structured failure)
+ * directly — the form clients and forwarding peers use.
+ *
+ * Clustering: in a sharded deployment a submit for a job key this
+ * node does not own is transparently forwarded to the owner.
  * Server-to-server forwards are marked "forwarded": true; a forwarded
- * submit is never re-forwarded (ring disagreement yields "not_owner"
- * instead of a forwarding loop).
+ * submit is never re-forwarded (ring disagreement yields
+ * {"ok":false, "error":"not_owner", "redirect":"HOST:PORT"} instead
+ * of a forwarding loop).
  *
- * Replication (version 3): with --replicas=k every key lives on the k
- * distinct ring successors HashRing::owners() names. Two ops carry
- * replica records between holders:
+ * Replication: with --replicas=k every key lives on the k distinct
+ * ring successors HashRing::owners() names. Two ops carry replica
+ * records between holders:
  *   {"op":"replicate", "key": K, "result": [RunResult]}
  *       -> {"ok":true}            (receiver stores a replica record)
  *   {"op":"fetch", "key": K}
@@ -47,26 +54,10 @@
  * A forwarded submit additionally marked "replica": true asks a
  * *follower* to serve a key whose primary is unreachable; the
  * follower answers from its replica store (or simulates) instead of
- * bouncing not_owner. Unversioned/v1 and v2 clients are still served
- * byte-identically — the new members only appear on v3 exchanges.
+ * bouncing not_owner.
  *
- * Multiplexing (version 4): a request MAY carry "rid", an opaque
- * request id chosen by the sender, and every response to a rid-tagged
- * request echoes it verbatim — including responses parked behind
- * "wait". That turns one TCP connection into a pipelined multiplexed
- * link: many requests in flight, responses matched by rid in whatever
- * order jobs finish (see serve/peerlink.hh for the link layer built
- * on this). A v4 single-job submit additionally accepts "wait": true,
- * collapsing the old submit + result-wait pair into one deferred
- * response that carries the result (or the structured failure)
- * directly — the op peers use to forward jobs without burning a
- * round trip or a connection per job. Negotiation is optimistic:
- * a sender pipelines v4 frames immediately, and a peer that answers
- * "unsupported_version" (supported < 4) is retried over the
- * pre-mux one-shot-connection path, so v1-v3 peers keep working.
- *
- * Cluster membership (version 5): the ring is no longer frozen at
- * startup. Three admin verbs ride the same envelope:
+ * Cluster membership: the ring is not frozen at startup. Three admin
+ * verbs ride the same envelope:
  *   {"op":"join",  "node":"HOST:PORT"}  -> add a running node
  *   {"op":"leave", "node":"HOST:PORT"}  -> remove a member
  *   {"op":"ring"}                       -> epoch, members, rebalance
@@ -77,15 +68,13 @@
  * epoch id plus the member list. A node receiving an epoch newer than
  * its own installs it (keeping the previous view for dual-epoch
  * routing), rebalances by pushing only the remapped ~1/N arcs to
- * their new owners over the v3 `replicate` verb, and acks the epoch
- * only once that push queue drains — so a join/leave response means
- * the whole cluster has quiesced. An epoch older than the receiver's
- * is rejected with "stale_epoch" carrying the higher epoch and its
+ * their new owners over the `replicate` verb, and acks the epoch only
+ * once that push queue drains — so a join/leave response means the
+ * whole cluster has quiesced. An epoch older than the receiver's is
+ * rejected with "stale_epoch" carrying the higher epoch and its
  * member list, which is how disagreeing peers resolve to the highest
  * epoch. Until handoff completes, previous-epoch holders keep serving
- * (`fetch` falls back to them), so no request ever misses. v1-v4
- * clients keep working unchanged; the admin verbs themselves require
- * a v5 envelope ("version_too_low" otherwise).
+ * (`fetch` falls back to them), so no request ever misses.
  *
  * Error responses: {"ok":false, "error": "<code>", "detail": "..."};
  * a full queue answers code "busy" plus "retry_after_ms". Done results
@@ -107,28 +96,15 @@
 
 namespace dcg::serve {
 
-/**
- * Highest protocol version this build speaks. Version 1 is the
- * original single-server protocol; version 2 adds the version field
- * itself, `not_owner`/`redirect` and forwarded submits; version 3
- * adds replication (`replicate`/`fetch` ops and replica-marked
- * forwarded submits); version 4 adds request-id multiplexing ("rid"
- * echo on every response) and single-job submit+wait; version 5 adds
- * elastic membership (`join`/`leave`/`ring` admin verbs and the
- * peer-to-peer `epoch` confirmation).
- */
+/** The one protocol version this build speaks. */
 constexpr unsigned kProtocolVersion = 5;
 
-/** Highest version whose peers are driven over one-shot connections
- *  (no rid multiplexing): the legacy fallback target. */
-constexpr unsigned kLastOneShotVersion = 3;
-
 /**
- * Extract a request's protocol version: absent = 1 (legacy client).
+ * Extract a request's protocol version: absent = kProtocolVersion.
  * False + @p err when "version" is present but not a positive
- * integer. A version above kProtocolVersion parses fine — reject it
- * separately with unsupportedVersionResponse() so the client learns
- * what *is* supported.
+ * integer. Any other version parses fine — reject it separately with
+ * unsupportedVersionResponse() so the client learns what *is*
+ * supported.
  */
 bool requestVersion(const JsonValue &req, unsigned &version,
                     std::string &err);
@@ -202,27 +178,27 @@ JsonValue errorResponse(const std::string &code,
 void stampVersion(JsonValue &resp, unsigned version);
 
 /**
- * v4 rid echo: copy @p req's "rid" member (if any) onto @p resp,
+ * Rid echo: copy @p req's "rid" member (if any) onto @p resp,
  * token-for-token. Every server response path funnels through this so
  * a multiplexed peer can match responses to in-flight requests no
  * matter which op — or which error branch — produced them.
  */
 void echoRid(const JsonValue &req, JsonValue &resp);
 
-/** "unsupported_version" error naming the supported maximum. */
+/** "unsupported_version" error naming kProtocolVersion. */
 JsonValue unsupportedVersionResponse(unsigned requested);
 
 /** "not_owner" error carrying the owning node as "redirect". */
 JsonValue notOwnerResponse(const std::string &ownerAddress);
 
-/** v3 "replicate" push: hand @p result for @p key to a follower. */
+/** "replicate" push: hand @p result for @p key to a follower. */
 JsonValue replicateRequest(const std::string &key, const RunResult &r);
 
-/** v3 "fetch" pull: ask a holder for its local record of @p key. */
+/** "fetch" pull: ask a holder for its local record of @p key. */
 JsonValue fetchRequest(const std::string &key);
 
 /**
- * v5 "epoch" confirmation: install ring epoch @p epoch with member
+ * "epoch" confirmation: install ring epoch @p epoch with member
  * list @p members, superseding (@p prevEpoch, @p prevMembers).
  * @p replicas carries the coordinator's configured factor so a
  * freshly joined node replicates with the cluster's k, not its own.
@@ -237,11 +213,6 @@ JsonValue epochRequest(std::uint64_t epoch,
  *  how peers that disagree resolve to the highest epoch. */
 JsonValue staleEpochResponse(std::uint64_t epoch,
                              const std::vector<std::string> &members);
-
-/** "version_too_low" error: @p op needs envelope version
- *  >= @p minVersion. */
-JsonValue versionTooLowResponse(const std::string &op,
-                                unsigned minVersion);
 /// @}
 
 } // namespace dcg::serve

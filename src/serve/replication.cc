@@ -9,26 +9,17 @@
 namespace dcg::serve {
 
 ReplicatedStore::ReplicatedStore(std::shared_ptr<ResultStore> localStore,
-                                 std::vector<Endpoint> nodeList,
                                  std::size_t selfIndex,
-                                 unsigned replicaCount,
-                                 unsigned peerTimeoutMs,
+                                 const EpochView &view, unsigned replicas,
                                  std::shared_ptr<PeerTransport> peerTx)
-    : local(std::move(localStore)), nodes(std::move(nodeList)),
-      selfIdx(selfIndex), timeoutMs(peerTimeoutMs),
+    : local(std::move(localStore)), selfIdx(selfIndex),
       transport(std::move(peerTx))
 {
     if (!local)
         fatal("replication: no local store to decorate");
-    if (nodes.empty() || selfIdx >= nodes.size())
-        fatal("replication: self index ", selfIdx,
-              " outside a cluster of ", nodes.size(), " node(s)");
-    k = static_cast<unsigned>(std::min<std::size_t>(
-        std::max(replicaCount, 1u), nodes.size()));
-    ring = HashRing(endpointStrings(nodes));
     if (!transport)
-        transport = std::make_shared<DirectPeerTransport>(nodes,
-                                                          timeoutMs);
+        fatal("replication: no peer transport");
+    setEpochViews(view, EpochView{}, replicas);
     replicator = std::thread([this] { replicatorLoop(); });
 }
 
@@ -43,12 +34,6 @@ ReplicatedStore::~ReplicatedStore()
         replicator.join();
 }
 
-std::vector<std::size_t>
-ReplicatedStore::holdersFor(const std::string &key) const
-{
-    return ring.ownerIndices(key, k.load());
-}
-
 void
 ReplicatedStore::setEpochViews(const EpochView &cur,
                                const EpochView &prev, unsigned replicas)
@@ -57,7 +42,6 @@ ReplicatedStore::setEpochViews(const EpochView &cur,
         fatal("replication: cannot install an empty current epoch");
     {
         std::lock_guard<std::mutex> lk(viewMutex);
-        useViews = true;
         curView = cur;
         prevView = prev;
         viewReps = std::max(replicas, 1u);
@@ -91,33 +75,21 @@ ReplicatedStore::get(const std::string &key, RunResult &out)
     if (local->get(key, out))
         return true;
 
-    // Snapshot the routing state: either the installed epoch views or
-    // the fixed construction-time ring (pre-v5 behaviour).
-    bool views;
     EpochView cur, prev;
     unsigned reps;
     {
         std::lock_guard<std::mutex> lk(viewMutex);
-        views = useViews;
-        if (views) {
-            cur = curView;
-            prev = prevView;
-        }
+        cur = curView;
+        prev = prevView;
         reps = viewReps;
     }
 
-    std::vector<std::size_t> curHolders, prevHolders;
-    if (views) {
-        curHolders = cur.holders(
-            key, std::min<std::size_t>(reps, cur.members.size()));
-        if (prev.valid())
-            prevHolders = prev.holders(
-                key, std::min<std::size_t>(reps, prev.members.size()));
-    } else {
-        if (k.load() <= 1)
-            return false;
-        curHolders = holdersFor(key);
-    }
+    const std::vector<std::size_t> curHolders = cur.holders(
+        key, std::min<std::size_t>(reps, cur.members.size()));
+    std::vector<std::size_t> prevHolders;
+    if (prev.valid())
+        prevHolders = prev.holders(
+            key, std::min<std::size_t>(reps, prev.members.size()));
 
     // Only a holder (under either epoch) pulls from peers; everyone
     // else misses locally and lets the owner do the work.
@@ -163,35 +135,23 @@ ReplicatedStore::put(const std::string &key, const RunResult &r)
 {
     local->put(key, r);
 
-    bool views;
     EpochView cur;
     unsigned reps;
     {
         std::lock_guard<std::mutex> lk(viewMutex);
-        views = useViews;
-        if (views)
-            cur = curView;
+        cur = curView;
         reps = viewReps;
     }
 
+    // Fan out to the current epoch's holders — including the new owner
+    // of a key this node only serves under the previous epoch, which
+    // doubles as an eager handoff of fresh results.
     Task t;
     t.key = key;
-    if (views) {
-        // Fan out to the current epoch's holders — including the new
-        // owner of a key this node only serves under the previous
-        // epoch, which doubles as an eager handoff of fresh results.
-        const auto holders = cur.holders(
-            key, std::min<std::size_t>(reps, cur.members.size()));
-        for (std::size_t idx : holders)
-            if (idx != selfIdx)
-                t.targets.push_back(idx);
-    } else {
-        if (k.load() <= 1)
-            return;
-        for (std::size_t idx : holdersFor(key))
-            if (idx != selfIdx)
-                t.targets.push_back(idx);
-    }
+    for (std::size_t idx :
+         cur.holders(key, std::min<std::size_t>(reps, cur.members.size())))
+        if (idx != selfIdx)
+            t.targets.push_back(idx);
     t.result = r;
     if (t.targets.empty())
         return;

@@ -8,8 +8,8 @@
  * Write path (put): the record lands in the local store first,
  * synchronously — the caller's durability is never held hostage to a
  * peer — then a fan-out task is queued for the replicator thread,
- * which pushes a `replicate` op to each *other* holder
- * HashRing::owners() names for the key. Pushes are asynchronous and
+ * which pushes a `replicate` op to each *other* holder the current
+ * ring epoch names for the key. Pushes are asynchronous and
  * best-effort: a dead follower costs a counter tick, not latency on
  * the submit path. Any holder that stores a freshly computed result
  * fans out (not just the primary); results are deterministic and
@@ -29,21 +29,20 @@
  * through to the local store: replica records are ordinary records
  * there, budgeted and compacted exactly once.
  *
- * Elastic membership (protocol v5): once the server installs epoch
- * views via setEpochViews(), routing switches from the fixed
- * construction-time ring to the current EpochView, and the read path
- * gains a *handoff* leg — on a local miss, after the current epoch's
- * sibling holders, the *previous* epoch's holders are asked too
- * (counted separately as handoff fetches). That leg is what lets a
- * node serve an arc it just inherited before the background rebalance
- * push has landed the record, which in turn is what makes a live
- * join/leave lose zero work. Holder indices in a view are node-table
- * indices — the same index space the transport is addressed by.
+ * Routing follows the server's ring epochs: the constructor takes the
+ * current EpochView and setEpochViews() installs every later one. The
+ * read path has a *handoff* leg — on a local miss, after the current
+ * epoch's sibling holders, the *previous* epoch's holders are asked
+ * too (counted separately as handoff fetches). That leg is what lets
+ * a node serve an arc it just inherited before the background
+ * rebalance push has landed the record, which in turn is what makes a
+ * live join/leave lose zero work. Holder indices in a view are
+ * node-table indices — the same index space the transport is
+ * addressed by.
  *
  * Peer I/O goes through a PeerTransport seam: the server injects a
  * PoolPeerTransport so pushes and fetches ride the event loop's
- * multiplexed links; standalone uses (unit tests, tools) default to
- * one-shot blocking connections.
+ * multiplexed links (or a DirectPeerTransport while it has no pool).
  *
  * Thread safety: get()/put() may be called from any worker thread;
  * the queue is mutex-guarded and the replicator thread performs all
@@ -79,19 +78,17 @@ class ReplicatedStore : public exp::ResultStoreBase
   public:
     /**
      * @param local      the node's own ResultStore (must outlive this)
-     * @param nodes      the cluster's canonical node list (ring order
-     *                   is derived from it, as the server does)
-     * @param selfIndex  this node's position in @p nodes
-     * @param replicaCount  k; effective factor is min(k, nodes.size())
-     * @param peerTimeoutMs bound on each push/fetch socket operation
-     *                      (0 = unbounded)
-     * @param transport  peer exchange seam; null = one-shot blocking
-     *                   connections (DirectPeerTransport)
+     * @param selfIndex  this node's index in the server's node table
+     * @param view       the current ring epoch (see setEpochViews())
+     * @param replicas   the cluster's configured k; the effective
+     *                   factor is clamped to the view's member count
+     * @param transport  peer exchange seam, addressed by node-table
+     *                   index
      */
     ReplicatedStore(std::shared_ptr<ResultStore> local,
-                    std::vector<Endpoint> nodes, std::size_t selfIndex,
-                    unsigned replicaCount, unsigned peerTimeoutMs,
-                    std::shared_ptr<PeerTransport> transport = nullptr);
+                    std::size_t selfIndex, const EpochView &view,
+                    unsigned replicas,
+                    std::shared_ptr<PeerTransport> transport);
     ~ReplicatedStore() override;
 
     ReplicatedStore(const ReplicatedStore &) = delete;
@@ -185,9 +182,6 @@ class ReplicatedStore : public exp::ResultStoreBase
         std::vector<std::size_t> targets;  ///< indices into nodes
     };
 
-    /** The key's holder indices (ring successor order, primary first). */
-    std::vector<std::size_t> holdersFor(const std::string &key) const;
-
     /** Fetch @p key from @p idx; on success repair locally and serve. */
     bool fetchFrom(std::size_t idx, const JsonValue &req,
                    const std::string &key, RunResult &out);
@@ -196,15 +190,11 @@ class ReplicatedStore : public exp::ResultStoreBase
     void pushOne(const Task &t);
 
     std::shared_ptr<ResultStore> local;
-    std::vector<Endpoint> nodes;
     std::size_t selfIdx;
     std::atomic<unsigned> k{1};
-    unsigned timeoutMs;
-    HashRing ring;
     std::shared_ptr<PeerTransport> transport;
 
     mutable std::mutex viewMutex;
-    bool useViews DCG_GUARDED_BY(viewMutex) = false;
     EpochView curView DCG_GUARDED_BY(viewMutex);
     EpochView prevView DCG_GUARDED_BY(viewMutex);
     unsigned viewReps DCG_GUARDED_BY(viewMutex) = 1;

@@ -85,7 +85,7 @@ class HashRing
 
 /**
  * EpochView: one versioned ring epoch — the unit of elastic cluster
- * membership (protocol v5). A monotonically increasing epoch id, the
+ * membership. A monotonically increasing epoch id, the
  * member list it was agreed for, the ring built over those members,
  * and the mapping from each member's ring ordinal to its index in the
  * process-local append-only node table (which is what peer links and

@@ -167,9 +167,8 @@ Server::Server(const ServerConfig &config)
         // safely once workers run.
         peerTransport = std::make_shared<DirectPeerTransport>(
             nodes, cfg.peerTimeoutMs);
-        repl = std::make_shared<ReplicatedStore>(
-            store, nodes, selfIdx, 1, cfg.peerTimeoutMs, peerTransport);
-        repl->setEpochViews(curEp, prevEp, epochReps);
+        repl = std::make_shared<ReplicatedStore>(store, selfIdx, curEp,
+                                                 epochReps, peerTransport);
         eng.attachStore(repl);
     }
 
@@ -249,10 +248,8 @@ Server::configureCluster(const std::vector<Endpoint> &allNodes,
         if (!peerTransport)
             peerTransport = std::make_shared<DirectPeerTransport>(
                 nodes, cfg.peerTimeoutMs);
-        repl = std::make_shared<ReplicatedStore>(
-            store, nodes, selfIdx, std::max(replFactor, 1u),
-            cfg.peerTimeoutMs, peerTransport);
-        repl->setEpochViews(curEp, prevEp, epochReps);
+        repl = std::make_shared<ReplicatedStore>(store, selfIdx, curEp,
+                                                 epochReps, peerTransport);
         eng.attachStore(repl);
     }
 
@@ -628,77 +625,42 @@ void
 Server::handleLine(Conn &conn, const std::string &line)
 {
     JsonValue req;
+    JsonValue resp;
     std::string err;
+    unsigned version = kProtocolVersion;
+    const OpHandler *handler = nullptr;
     if (!JsonValue::parse(line, req, err) || !req.isObject()) {
-        ++badRequests;
-        JsonValue resp =
-            errorResponse("bad_request",
-                          err.empty() ? "request must be a JSON object"
-                                      : err);
-        stampVersion(resp, 1);
-        conn.out += resp.dump();
-        conn.out += '\n';
-        return;
+        resp = errorResponse("bad_request",
+                             err.empty() ? "request must be a JSON object"
+                                         : err);
+        req = JsonValue();  // nothing to echo from an unparsed line
+    } else if (!requestVersion(req, version, err)) {
+        resp = errorResponse("bad_request", err);
+    } else if (version != kProtocolVersion) {
+        resp = unsupportedVersionResponse(version);
+    } else {
+        // Registry dispatch: every verb resolves through the op
+        // catalog (serve/ops.hh); there is no verb chain.
+        const std::string op = req.get("op").asString();
+        handler = findOpHandler(op);
+        if (!handler)
+            resp = errorResponse("bad_request",
+                                 "unknown op '" + op + "' (expected " +
+                                     opNamesJoined() + ")");
     }
 
-    // Envelope version: absent = 1 (legacy client); anything newer
-    // than we speak gets the structured rejection.
-    unsigned version = 1;
-    JsonValue early;
-    bool rejected = false;
-    if (!requestVersion(req, version, err)) {
+    if (handler) {
+        OpCall call{req, conn.id, JsonValue(), false};
+        (*handler)(*this, call);
+        if (call.deferred)
+            return;  // the response is parked; written on completion
+        resp = std::move(call.resp);
+    } else {
         ++badRequests;
-        early = errorResponse("bad_request", err);
-        version = 1;
-        rejected = true;
-    } else if (version > kProtocolVersion) {
-        ++badRequests;
-        early = unsupportedVersionResponse(version);
-        rejected = true;
     }
-    if (rejected) {
-        stampVersion(early, version);
-        echoRid(req, early);
-        conn.out += early.dump();
-        conn.out += '\n';
-        return;
-    }
-
-    // Registry dispatch: every verb — built-in or future — resolves
-    // through the op catalog (serve/ops.hh); there is no verb chain.
-    const std::string op = req.get("op").asString();
-    const OpInfo *info = findOp(op);
-    if (!info) {
-        ++badRequests;
-        JsonValue resp = errorResponse(
-            "bad_request",
-            "unknown op '" + op + "' (expected " + opNamesJoined() +
-                ")");
-        stampVersion(resp, version);
-        echoRid(req, resp);
-        conn.out += resp.dump();
-        conn.out += '\n';
-        return;
-    }
-    // minVersion is enforced only for verbs newer than v4 — the
-    // historic verbs predate versioned requests (see ops.hh).
-    if (info->minVersion > 4 && version < info->minVersion) {
-        ++badRequests;
-        JsonValue resp = versionTooLowResponse(op, info->minVersion);
-        stampVersion(resp, version);
-        echoRid(req, resp);
-        conn.out += resp.dump();
-        conn.out += '\n';
-        return;
-    }
-
-    OpCall call{req, version, conn.id, JsonValue(), false};
-    (*findOpHandler(op))(*this, call);
-    if (call.deferred)
-        return;  // the response is parked; written on completion
-    stampVersion(call.resp, version);
-    echoRid(req, call.resp);
-    conn.out += call.resp.dump();
+    stampVersion(resp, kProtocolVersion);
+    echoRid(req, resp);
+    conn.out += resp.dump();
     conn.out += '\n';
 }
 
@@ -706,7 +668,7 @@ void
 registerServerOps()
 {
     static const bool once = [] {
-        registerOp({"submit", 1, false,
+        registerOp({"submit", false,
                     "run or fetch simulation jobs (job/jobs/grid)"},
                    [](Server &s, OpCall &c) {
                        c.resp =
@@ -714,58 +676,57 @@ registerServerOps()
                                ? errorResponse(
                                      "draining",
                                      "server is shutting down")
-                               : s.handleSubmit(c.req, c.version,
-                                                c.connId, c.deferred);
+                               : s.handleSubmit(c);
                    });
-        registerOp({"status", 1, false, "poll one job's state"},
+        registerOp({"status", false, "poll one job's state"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleStatus(c.req);
                    });
-        registerOp({"result", 1, false,
+        registerOp({"result", false,
                     "fetch (or wait for) one job's result"},
                    [](Server &s, OpCall &c) { s.handleResult(c); });
-        registerOp({"stats", 1, false,
+        registerOp({"stats", false,
                     "service counters and the op catalog"},
                    [](Server &s, OpCall &c) {
                        c.resp = okResponse();
                        c.resp.set("stats", s.statsJson());
                    });
-        registerOp({"shutdown", 1, true, "begin graceful drain"},
+        registerOp({"shutdown", true, "begin graceful drain"},
                    [](Server &s, OpCall &c) {
                        c.resp = okResponse();
                        c.resp.set("status",
                                   JsonValue::string("draining"));
                        s.requestStop();
                    });
-        registerOp({"compact", 2, true,
+        registerOp({"compact", true,
                     "garbage-collect the result store"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleCompact();
                    });
         // Accepted even while draining: a late replica or read-repair
         // write is a harmless local put that helps the cluster heal.
-        registerOp({"replicate", 3, false,
+        registerOp({"replicate", false,
                     "store a replica record (peer-to-peer)"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleReplicate(c.req);
                    });
-        registerOp({"fetch", 3, false,
+        registerOp({"fetch", false,
                     "serve a stored record to a peer"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleFetch(c.req);
                    });
-        registerOp({"join", 5, true,
+        registerOp({"join", true,
                     "add a node to the ring (advances the epoch)"},
                    [](Server &s, OpCall &c) { s.handleJoin(c); });
-        registerOp({"leave", 5, true,
+        registerOp({"leave", true,
                     "remove a node from the ring (advances the epoch)"},
                    [](Server &s, OpCall &c) { s.handleLeave(c); });
-        registerOp({"ring", 5, true,
+        registerOp({"ring", true,
                     "current epoch, members and rebalance state"},
                    [](Server &s, OpCall &c) {
                        c.resp = s.handleRing();
                    });
-        registerOp({"epoch", 5, false,
+        registerOp({"epoch", false,
                     "peer-to-peer epoch announcement"},
                    [](Server &s, OpCall &c) { s.handleEpoch(c); });
         return true;
@@ -774,10 +735,9 @@ registerServerOps()
 }
 
 JsonValue
-Server::handleSubmit(const JsonValue &req, unsigned version,
-                     std::uint64_t connId, bool &deferred)
+Server::handleSubmit(OpCall &c)
 {
-    deferred = false;
+    const JsonValue &req = c.req;
     std::vector<JobSpec> specs;
     std::string err;
     if (req.has("job")) {
@@ -820,11 +780,8 @@ Server::handleSubmit(const JsonValue &req, unsigned version,
 
     // Ring ownership per job. A forwarded submit for a key we do not
     // own means the peer's ring disagrees with ours: answer not_owner
-    // rather than forwarding again (no loops, ever). A client that
-    // asked to route itself ("redirect": true, single job) gets the
-    // owner's address back instead of transparent forwarding.
+    // rather than forwarding again (no loops, ever).
     const bool forwarded = req.get("forwarded").asBool(false);
-    const bool wantRedirect = req.get("redirect").asBool(false);
 
     struct Admit
     {
@@ -872,7 +829,7 @@ Server::handleSubmit(const JsonValue &req, unsigned version,
             }
         }
         if (a.remote) {
-            if (forwarded || (wantRedirect && specs.size() == 1)) {
+            if (forwarded) {
                 ++notOwnerReplies;
                 return notOwnerResponse(nodes[a.holders.front()].str());
             }
@@ -956,25 +913,17 @@ Server::handleSubmit(const JsonValue &req, unsigned version,
         resp.set("id", ids.items().front());
     resp.set("ids", std::move(ids));
 
-    // v4 single-job submit+wait: defer the response until the job
+    // Single-job submit+wait: defer the response until the job
     // finishes (cached jobs are already Done and answer now), parking
     // on the same waiter list "result"+wait uses.
-    if (version >= 4 && req.get("wait").asBool(false) &&
-        admits.size() == 1) {
+    if (req.get("wait").asBool(false) && admits.size() == 1) {
         auto it = jobs.find(soleId);
         if (it->second.state == JobState::Done)
             return doneResponse(soleId, it->second);
         if (it->second.state == JobState::Failed)
             return failedResponse(soleId, it->second);
-        Waiter w;
-        w.connId = connId;
-        w.version = version;
-        if (req.has("rid")) {
-            w.hasRid = true;
-            w.rid = req.get("rid");
-        }
-        it->second.waiters.push_back(std::move(w));
-        deferred = true;
+        it->second.waiters.push_back(park(c));
+        c.deferred = true;
     }
     return resp;
 }
@@ -1208,14 +1157,7 @@ Server::handleResult(OpCall &c)
     } else if (it->second.state == JobState::Failed) {
         c.resp = failedResponse(id, it->second);
     } else if (c.req.get("wait").asBool(false)) {
-        Waiter w;
-        w.connId = c.connId;
-        w.version = c.version;
-        if (c.req.has("rid")) {
-            w.hasRid = true;
-            w.rid = c.req.get("rid");
-        }
-        it->second.waiters.push_back(std::move(w));
+        it->second.waiters.push_back(park(c));
         c.deferred = true;  // answered on completion
     } else {
         c.resp = okResponse();
@@ -1413,13 +1355,25 @@ Server::finishRebalance()
     }
 }
 
+Server::ParkedResp
+Server::park(const OpCall &c)
+{
+    ParkedResp p;
+    p.connId = c.connId;
+    if (c.req.has("rid")) {
+        p.hasRid = true;
+        p.rid = c.req.get("rid");
+    }
+    return p;
+}
+
 void
 Server::respondParked(const ParkedResp &p, JsonValue resp)
 {
     auto it = conns.find(p.connId);
     if (it == conns.end() || it->second.fd < 0)
         return;  // client went away; nothing to deliver
-    stampVersion(resp, p.version);
+    stampVersion(resp, kProtocolVersion);
     if (p.hasRid)
         resp.set("rid", p.rid);
     it->second.out += resp.dump();
@@ -1521,14 +1475,7 @@ Server::handleEpoch(OpCall &c)
         // The ack doubles as the quiesce signal: the coordinator's
         // admin response only completes once every member (this one
         // included) has drained its rebalance push queue.
-        ParkedResp p;
-        p.connId = c.connId;
-        p.version = c.version;
-        if (c.req.has("rid")) {
-            p.hasRid = true;
-            p.rid = c.req.get("rid");
-        }
-        rebal.acks.push_back(std::move(p));
+        rebal.acks.push_back(park(c));
         c.deferred = true;
         return;
     }
@@ -1567,12 +1514,7 @@ Server::handleJoin(OpCall &c)
     adm.verb = "join";
     adm.node = addr;
     adm.epoch = e;
-    adm.resp.connId = c.connId;
-    adm.resp.version = c.version;
-    if (c.req.has("rid")) {
-        adm.resp.hasRid = true;
-        adm.resp.rid = c.req.get("rid");
-    }
+    adm.resp = park(c);
     c.deferred = true;
 
     std::vector<std::string> newMembers = curEp.members;
@@ -1655,12 +1597,7 @@ Server::handleLeave(OpCall &c)
     adm.verb = "leave";
     adm.node = addr;
     adm.epoch = e;
-    adm.resp.connId = c.connId;
-    adm.resp.version = c.version;
-    if (c.req.has("rid")) {
-        adm.resp.hasRid = true;
-        adm.resp.rid = c.req.get("rid");
-    }
+    adm.resp = park(c);
     c.deferred = true;
 
     // Everyone on the OLD list hears the new epoch — the leaver
@@ -1891,21 +1828,10 @@ Server::finishJob(std::uint64_t id, JobRec &rec, Event &ev)
         std::max(latencyMaxUs, static_cast<std::uint64_t>(us));
     ++jobsCompleted;
 
-    if (rec.waiters.empty())
-        return;
-    for (const Waiter &w : rec.waiters) {
-        auto cit = conns.find(w.connId);
-        if (cit == conns.end() || cit->second.fd < 0)
-            continue;
-        JsonValue resp = rec.state == JobState::Failed
+    for (const ParkedResp &w : rec.waiters)
+        respondParked(w, rec.state == JobState::Failed
                              ? failedResponse(id, rec)
-                             : doneResponse(id, rec);
-        stampVersion(resp, w.version);
-        if (w.hasRid)
-            resp.set("rid", w.rid);
-        cit->second.out += resp.dump();
-        cit->second.out += '\n';
-    }
+                             : doneResponse(id, rec));
     rec.waiters.clear();
 }
 
@@ -1992,8 +1918,6 @@ Server::statsJson() const
               JsonValue::integer(pool->linkDeaths()));
         s.set("peer_reconnects",
               JsonValue::integer(pool->reconnects()));
-        s.set("peer_legacy_fallbacks",
-              JsonValue::integer(pool->legacyFallbacks()));
     }
     if (repl) {
         s.set("replication_factor",

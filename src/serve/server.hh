@@ -13,22 +13,25 @@
  *    with a retry-after hint — backpressure, not buffering), answers
  *    status/result/stats without touching a worker, and drives every
  *    peer exchange asynchronously: a forwarded submit is a pipelined
- *    v4 submit+wait frame on the owner's link, its failover walk a
+ *    submit+wait frame on the owner's link, its failover walk a
  *    continuation chain (Forward) stepped by link completions, never
  *    a blocked thread.
  *
  *  - N worker threads pop admitted jobs and ONLY simulate
  *    (Engine::runOne). Results flow back to the I/O thread as events
  *    through the wake pipe, which then resolves any parked
- *    "result"+wait requests — and, on v4, parked single-job
- *    submit+wait requests.
+ *    submit+wait and "result"+wait requests.
+ *
+ * Envelope: every request is answered at the one protocol version
+ * this build speaks (kProtocolVersion); a request without "version"
+ * is served as that version, any other version gets the structured
+ * unsupported_version error. Every response echoes the request's rid.
  *
  * Clustering: configureCluster() (or ServerConfig::peers/self) names
  * every node of the shared consistent-hash ring plus this node's own
  * canonical "host:port". A submit whose job key hashes to a peer is
- * transparently forwarded — unless the client asked for
- * "redirect": true (answered with not_owner + the owner's address) or
- * the submit is itself a forward (answered with not_owner, never
+ * transparently forwarded — unless the submit is itself a forward
+ * (answered with not_owner + the owner's address, never
  * re-forwarded, so ring disagreement cannot loop). Forwarded results
  * are NOT persisted locally: every record lives on exactly the
  * shard(s) the ring designates. In-flight forwards count against
@@ -61,7 +64,7 @@
  * LRU bounds on the persistent store and the in-memory cache, and the
  * store is compacted once at startup and on {"op":"compact"}.
  *
- * Elastic membership (protocol v5): the cluster's member list is a
+ * Elastic membership: the cluster's member list is a
  * *versioned ring epoch* — a monotonically increasing epoch id plus
  * the member list it was agreed for (EpochView). The admin verbs
  * `join` and `leave` advance it at runtime: the node serving the verb
@@ -72,7 +75,7 @@
  * the previous one for dual-epoch routing (a forwarded submit is
  * served if this node holds the key under *either* epoch, so no
  * request ever misses mid-transition), pushes the remapped ~1/N of
- * its stored records to their new holders via the v3 `replicate`
+ * its stored records to their new holders via the `replicate`
  * verb, and only acks the `epoch` once that push queue drains —
  * which makes a completed join/leave response mean "the whole
  * cluster has rebalanced". Gaps (a push raced an eviction, a node
@@ -210,12 +213,12 @@ class Server
 
     enum class JobState { Queued, Running, Done, Failed };
 
-    /** A "result"+wait (or v4 submit+wait) request parked until its
-     *  job finishes. */
-    struct Waiter
+    /** A deferred response: a submit+wait or "result"+wait request
+     *  parked until its job finishes, a peer's `epoch` ack or an admin
+     *  verb parked until the rebalance drains. */
+    struct ParkedResp
     {
         std::uint64_t connId = 0;
-        unsigned version = 1;  ///< the parked request's version
         bool hasRid = false;
         JsonValue rid;  ///< echoed verbatim on the deferred response
     };
@@ -226,7 +229,7 @@ class Server
         RunResult result;
         std::string error;  ///< set when state == Failed
         std::chrono::steady_clock::time_point enqueued;
-        std::vector<Waiter> waiters;
+        std::vector<ParkedResp> waiters;
     };
 
     /** One locally-simulated job — the ONLY thing workers see. */
@@ -276,16 +279,6 @@ class Server
         std::string error;
     };
 
-    /** One peer's deferred `epoch` ack, or the parked admin verb
-     *  response — written out once the local rebalance drains. */
-    struct ParkedResp
-    {
-        std::uint64_t connId = 0;
-        unsigned version = 1;
-        bool hasRid = false;
-        JsonValue rid;
-    };
-
     /** The one in-flight membership change this node coordinates. */
     struct AdminChange
     {
@@ -326,8 +319,7 @@ class Server
     void writeConn(Conn &conn);
     void closeConn(Conn &conn);
     void handleLine(Conn &conn, const std::string &line);
-    JsonValue handleSubmit(const JsonValue &req, unsigned version,
-                           std::uint64_t connId, bool &deferred);
+    JsonValue handleSubmit(OpCall &c);
     JsonValue handleReplicate(const JsonValue &req);
     JsonValue handleFetch(const JsonValue &req);
     JsonValue handleStatus(const JsonValue &req) const;
@@ -362,6 +354,8 @@ class Server
     /** Send `epoch` to every @p targets member; acks feed adm. */
     void broadcastEpoch(const std::vector<std::string> &targets);
     void maybeFinishAdmin();
+    /** Park @p c's response: the connection and rid to answer. */
+    static ParkedResp park(const OpCall &c);
     /** Write a deferred response to its (possibly gone) connection. */
     void respondParked(const ParkedResp &p, JsonValue resp);
     JsonValue statsJson() const;

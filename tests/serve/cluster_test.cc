@@ -1,9 +1,10 @@
 /**
  * End-to-end tests for the sharded dcgserved cluster: byte-identical
  * grids through any entry node, records living on exactly the shard
- * the ring designates, transparent forwarding for legacy unversioned
- * clients, not_owner redirects for ring-aware ones, and the versioned
- * envelope (unsupported_version rejection).
+ * the ring designates, transparent forwarding of unversioned requests
+ * (served as the current version), not_owner for forwarded submits of
+ * foreign keys, and the one-version envelope (unsupported_version
+ * rejection for every other version).
  */
 
 #include <gtest/gtest.h>
@@ -144,13 +145,13 @@ TEST(Cluster, GridIsByteIdenticalThroughEitherEntryNode)
 
     ClusterFixture fx(2);
 
-    // Legacy single-endpoint client against node 0: every job the
-    // ring assigns to node 1 is transparently forwarded.
-    Client viaA(fx.address(0));
+    // Single-endpoint client against node 0: every job the ring
+    // assigns to node 1 is transparently forwarded.
+    ClusterClient viaA({fx.endpoint(0)});
     EXPECT_EQ(asJson(viaA.runJobs(specs)), expected);
 
     // Same grid through the other entry node.
-    Client viaB(fx.address(1));
+    ClusterClient viaB({fx.endpoint(1)});
     EXPECT_EQ(asJson(viaB.runJobs(specs)), expected);
 
     // Ring-aware fan-out over both nodes.
@@ -168,7 +169,7 @@ TEST(Cluster, EachResultIsStoredOnExactlyTheOwningShard)
 
     namespace fs = std::filesystem;
     ClusterFixture fx(2, "shard");
-    Client client(fx.address(0));  // everything enters via node 0
+    ClusterClient client({fx.endpoint(0)});  // everything enters via node 0
     client.runJobs(specs);
 
     const HashRing &ring = fx.node(0).ringView();
@@ -197,12 +198,12 @@ TEST(Cluster, EachResultIsStoredOnExactlyTheOwningShard)
     }
 }
 
-TEST(Cluster, UnversionedLegacyRequestIsForwardedAndAnsweredAsV1)
+TEST(Cluster, UnversionedRequestIsForwardedAndAnsweredAsCurrentVersion)
 {
     ClusterFixture fx(2);
 
     // Find a spec owned by node 1, then submit it raw — no "version"
-    // member — through node 0, exactly like a pre-cluster client.
+    // member — through node 0.
     const HashRing &ring = fx.node(0).ringView();
     JobSpec spec;
     spec.insts = kInsts;
@@ -230,7 +231,7 @@ TEST(Cluster, UnversionedLegacyRequestIsForwardedAndAnsweredAsV1)
     ASSERT_TRUE(conn.roundTrip(submit, resp, err)) << err;
     ASSERT_TRUE(resp.get("ok").asBool(false))
         << resp.get("detail").asString();
-    EXPECT_EQ(resp.get("version").asU64(0), 1u);
+    EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
 
     JsonValue wait = JsonValue::object();
     wait.set("op", JsonValue::string("result"));
@@ -239,7 +240,7 @@ TEST(Cluster, UnversionedLegacyRequestIsForwardedAndAnsweredAsV1)
     ASSERT_TRUE(conn.roundTrip(wait, resp, err)) << err;
     ASSERT_TRUE(resp.get("ok").asBool(false))
         << resp.get("error").asString();
-    EXPECT_EQ(resp.get("version").asU64(0), 1u);
+    EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
     EXPECT_EQ(resp.get("status").asString(), "done");
 
     std::vector<RunResult> results;
@@ -249,7 +250,7 @@ TEST(Cluster, UnversionedLegacyRequestIsForwardedAndAnsweredAsV1)
     EXPECT_EQ(results[0].benchmark, spec.bench);
 }
 
-TEST(Cluster, RedirectRequestYieldsNotOwnerWithOwnerAddress)
+TEST(Cluster, ForwardedSubmitForForeignKeyYieldsNotOwnerWithOwnerAddress)
 {
     ClusterFixture fx(2);
     const HashRing &ring = fx.node(0).ringView();
@@ -257,7 +258,8 @@ TEST(Cluster, RedirectRequestYieldsNotOwnerWithOwnerAddress)
     JobSpec spec;
     spec.insts = kInsts;
     spec.warmup = kWarmup;
-    // Full benchmark set for the same reason as the legacy test above.
+    // Full benchmark set for the same reason as the unversioned test
+    // above.
     bool found = false;
     for (const std::string &bench : allSpecNames()) {
         spec.bench = bench;
@@ -272,10 +274,12 @@ TEST(Cluster, RedirectRequestYieldsNotOwnerWithOwnerAddress)
     std::string err;
     ASSERT_TRUE(conn.open(fx.endpoint(0), err)) << err;
 
+    // A forwarded submit for a foreign key is bounced, never
+    // re-forwarded — the loop-prevention invariant.
     JsonValue submit = JsonValue::object();
     submit.set("op", JsonValue::string("submit"));
     submit.set("job", spec.toJson());
-    submit.set("redirect", JsonValue::boolean(true));
+    submit.set("forwarded", JsonValue::boolean(true));
     stampVersion(submit, kProtocolVersion);
     JsonValue resp;
     ASSERT_TRUE(conn.roundTrip(submit, resp, err)) << err;
@@ -283,17 +287,6 @@ TEST(Cluster, RedirectRequestYieldsNotOwnerWithOwnerAddress)
     EXPECT_EQ(resp.get("error").asString(), "not_owner");
     EXPECT_EQ(resp.get("redirect").asString(), fx.address(1));
     EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
-
-    // A forwarded submit for a foreign key is likewise bounced, never
-    // re-forwarded — the loop-prevention invariant.
-    submit = JsonValue::object();
-    submit.set("op", JsonValue::string("submit"));
-    submit.set("job", spec.toJson());
-    submit.set("forwarded", JsonValue::boolean(true));
-    stampVersion(submit, kProtocolVersion);
-    ASSERT_TRUE(conn.roundTrip(submit, resp, err)) << err;
-    EXPECT_FALSE(resp.get("ok").asBool(true));
-    EXPECT_EQ(resp.get("error").asString(), "not_owner");
 }
 
 TEST(Cluster, FutureProtocolVersionIsRejectedStructurally)
@@ -303,14 +296,27 @@ TEST(Cluster, FutureProtocolVersionIsRejectedStructurally)
     std::string err;
     ASSERT_TRUE(conn.open(fx.endpoint(0), err)) << err;
 
+    // Every version but the one this tree speaks — older ones
+    // included — gets the structured rejection, rid echoed.
     JsonValue req = JsonValue::object();
     req.set("op", JsonValue::string("stats"));
-    req.set("version", JsonValue::integer(std::uint64_t{99}));
     JsonValue resp;
+    for (const std::uint64_t v : {1u, 2u, 3u, 4u, 6u, 99u}) {
+        req.set("version", JsonValue::integer(v));
+        req.set("rid", JsonValue::integer(v + 100));
+        ASSERT_TRUE(conn.roundTrip(req, resp, err)) << err;
+        EXPECT_FALSE(resp.get("ok").asBool(true)) << "version " << v;
+        EXPECT_EQ(resp.get("error").asString(), "unsupported_version")
+            << "version " << v;
+        EXPECT_EQ(resp.get("supported").asU64(0), kProtocolVersion);
+        EXPECT_EQ(resp.get("rid").asU64(0), v + 100);
+        EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
+    }
+
+    // The current version is served.
+    req.set("version", JsonValue::integer(std::uint64_t{kProtocolVersion}));
     ASSERT_TRUE(conn.roundTrip(req, resp, err)) << err;
-    EXPECT_FALSE(resp.get("ok").asBool(true));
-    EXPECT_EQ(resp.get("error").asString(), "unsupported_version");
-    EXPECT_EQ(resp.get("supported").asU64(0), kProtocolVersion);
+    EXPECT_TRUE(resp.get("ok").asBool(false)) << resp.dump();
 
     // A garbage version is a bad_request, not a crash.
     req.set("version", JsonValue::string("two"));

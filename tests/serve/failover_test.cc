@@ -2,7 +2,7 @@
  * Failover tests: a replicated cluster keeps serving byte-identical
  * grids — with zero re-simulations for already-replicated keys —
  * when a node dies, whether the client is ring-aware (client-side
- * failover + read-repair) or legacy single-socket (server-side
+ * failover + read-repair) or knows a single entry node (server-side
  * holder walking); an unreplicated cluster still surfaces the
  * structured forward_failed error; and a blackholed (partitioned,
  * not dead) follower link only costs bounded timeouts and push
@@ -121,7 +121,7 @@ TEST(Failover, RingAwareClientFailsOverWhenANodeDies)
               liveSimsBefore);
 }
 
-TEST(Failover, LegacyClientIsServedThroughServerSideFailover)
+TEST(Failover, SingleEndpointClientIsServedThroughServerSideFailover)
 {
     const std::string expected = localGridJson();
     ReplicaCluster fx(3, 2, "serverfo");
@@ -130,7 +130,7 @@ TEST(Failover, LegacyClientIsServedThroughServerSideFailover)
     const std::size_t entry = victim == 0 ? 1 : 0;
 
     {
-        Client warm(fx.address(entry));
+        ClusterClient warm({fx.endpoint(entry)});
         EXPECT_EQ(asJson(warm.runJobs(smallGridSpecs())), expected);
     }
     fx.flushReplication();
@@ -139,12 +139,12 @@ TEST(Failover, LegacyClientIsServedThroughServerSideFailover)
 
     fx.killNode(victim);
 
-    // A pre-replication, single-socket client through a live entry
-    // node: the *server* walks each dead key's holders and serves
-    // from a replica — the client never learns anything happened.
-    Client legacy(fx.address(entry));
-    EXPECT_EQ(asJson(legacy.runJobs(smallGridSpecs())), expected);
-    EXPECT_EQ(legacy.failovers(), 0u);
+    // A client that knows only a live entry node: the *server* walks
+    // each dead key's holders and serves from a replica — the client
+    // never learns anything happened.
+    ClusterClient client({fx.endpoint(entry)});
+    EXPECT_EQ(asJson(client.runJobs(smallGridSpecs())), expected);
+    EXPECT_EQ(client.failovers(), 0u);
     EXPECT_GT(fx.nodeStats(entry).get("failovers").asU64(0), 0u);
 
     EXPECT_EQ(survivorStat(fx, victim, "simulations"),

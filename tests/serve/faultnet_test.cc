@@ -74,7 +74,7 @@ TEST(Faultnet, PassModeIsTransparent)
     std::ostringstream expected;
     writeResultsJson(local.run({tinySpec().toJob()}), expected);
 
-    Client client(node.front().str());
+    ClusterClient client({node.front()});
     std::ostringstream got;
     writeResultsJson(client.runJobs({tinySpec()}), got);
     EXPECT_EQ(got.str(), expected.str());

@@ -55,6 +55,37 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(Json, RejectsPathologicalNesting)
+{
+    JsonValue v;
+    std::string err;
+
+    // 1 MiB of '[' — a request-line-sized stack bomb.
+    EXPECT_FALSE(
+        JsonValue::parse(std::string(std::size_t{1} << 20, '['), v, err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+
+    // A deep {"a": chain, closed properly, is rejected just the same.
+    std::string chain;
+    for (int i = 0; i < 100000; ++i)
+        chain += "{\"a\":";
+    chain += "0";
+    chain += std::string(100000, '}');
+    err.clear();
+    EXPECT_FALSE(JsonValue::parse(chain, v, err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+
+    // Exactly at the limit still parses; one level more does not.
+    const unsigned depth = JsonValue::kMaxDepth;
+    EXPECT_TRUE(JsonValue::parse(std::string(depth, '[') +
+                                     std::string(depth, ']'),
+                                 v, err))
+        << err;
+    EXPECT_FALSE(JsonValue::parse(std::string(depth + 1, '[') +
+                                      std::string(depth + 1, ']'),
+                                  v, err));
+}
+
 TEST(Json, PreservesNumberTokensVerbatim)
 {
     // The --server path depends on numbers surviving a parse/dump

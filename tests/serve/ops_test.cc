@@ -2,7 +2,7 @@
  * Op-handler registry tests: the string-keyed catalog that replaced
  * the server's verb chain. Covers the catalog surface, the structured
  * unknown-op rejection (which must name the catalog), the stats `ops`
- * listing, and minimum-version enforcement for v5 verbs.
+ * listing, and the one-version envelope every verb answers.
  */
 
 #include <gtest/gtest.h>
@@ -88,18 +88,10 @@ TEST(OpRegistry, CatalogNamesEveryVerb)
     for (const OpInfo &info : opCatalog()) {
         EXPECT_FALSE(info.description.empty()) << info.name;
         EXPECT_TRUE(isOp(info.name));
-        EXPECT_EQ(findOp(info.name)->minVersion, info.minVersion);
+        EXPECT_EQ(findOp(info.name)->adminOnly, info.adminOnly);
     }
     EXPECT_FALSE(isOp("no-such-verb"));
     EXPECT_EQ(findOp("no-such-verb"), nullptr);
-
-    // The membership verbs are v5; the historic surface predates
-    // version gating.
-    EXPECT_EQ(findOp("join")->minVersion, 5u);
-    EXPECT_EQ(findOp("leave")->minVersion, 5u);
-    EXPECT_EQ(findOp("ring")->minVersion, 5u);
-    EXPECT_EQ(findOp("epoch")->minVersion, 5u);
-    EXPECT_EQ(findOp("submit")->minVersion, 1u);
 
     // Admin verbs are flagged as such.
     EXPECT_TRUE(findOp("shutdown")->adminOnly);
@@ -136,28 +128,35 @@ TEST(OpRegistry, StatsListsTheOps)
     bool sawJoin = false;
     for (const JsonValue &o : ops.items()) {
         EXPECT_FALSE(o.get("name").asString().empty());
-        EXPECT_GE(o.get("min_version").asU64(0), 1u);
+        EXPECT_FALSE(o.get("description").asString().empty());
         if (o.get("name").asString() == "join") {
             sawJoin = true;
-            EXPECT_EQ(o.get("min_version").asU64(0), 5u);
             EXPECT_TRUE(o.get("admin").asBool(false));
         }
     }
     EXPECT_TRUE(sawJoin);
 }
 
-TEST(OpRegistry, V5VerbRejectedOnOldEnvelope)
+TEST(OpRegistry, VerbsAnswerOnlyTheCurrentEnvelope)
 {
     OneServer srv;
-    for (const unsigned version : {0u, 1u, 4u}) {
-        JsonValue req = opRequest("ring");
-        const JsonValue resp = srv.exchange(req, version);
-        EXPECT_FALSE(resp.get("ok").asBool(true));
-        EXPECT_EQ(resp.get("error").asString(), "version_too_low")
-            << "version " << version << ": " << resp.dump();
-        EXPECT_EQ(resp.get("min_version").asU64(0), 5u);
+    // Unstamped and current-version requests reach every verb, the
+    // membership verbs included.
+    for (const unsigned version : {0u, kProtocolVersion}) {
+        for (const char *op : {"ring", "stats"}) {
+            const JsonValue resp = srv.exchange(opRequest(op), version);
+            EXPECT_TRUE(resp.get("ok").asBool(false))
+                << op << " at version " << version << ": "
+                << resp.dump();
+            EXPECT_EQ(resp.get("version").asU64(0), kProtocolVersion);
+        }
     }
-    // The historic verbs keep answering unversioned requests.
-    const JsonValue stats = srv.exchange(opRequest("stats"), 0);
-    EXPECT_TRUE(stats.get("ok").asBool(false)) << stats.dump();
+    // Any other version is rejected before dispatch, whatever the verb.
+    for (const unsigned version : {1u, 4u, kProtocolVersion + 1}) {
+        const JsonValue resp = srv.exchange(opRequest("ring"), version);
+        EXPECT_FALSE(resp.get("ok").asBool(true));
+        EXPECT_EQ(resp.get("error").asString(), "unsupported_version")
+            << "version " << version << ": " << resp.dump();
+        EXPECT_EQ(resp.get("supported").asU64(0), kProtocolVersion);
+    }
 }

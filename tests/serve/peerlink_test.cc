@@ -1,5 +1,5 @@
 /**
- * Multiplexed peer-link tests: the protocol-v4 PeerPool/LinkLoop layer
+ * Multiplexed peer-link tests: the PeerPool/LinkLoop layer
  * under fault injection. Jobs of deliberately different lengths prove
  * rid matching (out-of-order completions must still assemble into a
  * byte-identical in-order grid); a FaultProxy in front of the node
@@ -7,7 +7,8 @@
  * and that Garbage / mid-frame byte-budget cuts kill the link cleanly
  * — in-flight requests fail over, the link reconnects, and no
  * response is ever delivered against the wrong request. A scripted
- * v3-only peer pins the legacy one-shot fallback path.
+ * peer that answers without rids pins the protocol-violation path:
+ * the link dies, nothing hangs, and the grid fails over.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -113,22 +115,33 @@ class ProxiedNode
     std::unique_ptr<FaultProxy> proxy;
 };
 
+/** Threads in this process right now. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
 /**
- * A scripted peer that speaks protocol v3 and nothing newer: any
- * version-4 frame is bounced with a rid-less unsupported_version
- * naming supported=3 (exactly what a pre-mux dcgserved answers), and
- * v3 one-shot requests get a well-formed stats response. Each
- * connection serves one exchange, then closes — the pre-mux wire
- * behaviour the legacy fallback executor expects.
+ * A scripted peer that answers every request line with a well-formed
+ * but rid-less {"ok":true,...} response — a protocol violation no
+ * node of this tree commits, so the pool must treat it as a broken
+ * link. Connections are served one at a time until the client closes.
  */
-class FakeV3Peer
+class RidlessPeer
 {
   public:
-    FakeV3Peer()
+    RidlessPeer()
     {
         listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listenFd < 0)
-            fatal("FakeV3Peer: socket: ", std::strerror(errno));
+            fatal("RidlessPeer: socket: ", std::strerror(errno));
         const int one = 1;
         ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
                      sizeof(one));
@@ -139,17 +152,17 @@ class FakeV3Peer
         if (::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
                    sizeof(addr)) != 0 ||
             ::listen(listenFd, 8) != 0)
-            fatal("FakeV3Peer: bind/listen: ", std::strerror(errno));
+            fatal("RidlessPeer: bind/listen: ", std::strerror(errno));
         socklen_t len = sizeof(addr);
         if (::getsockname(listenFd,
                           reinterpret_cast<sockaddr *>(&addr),
                           &len) != 0)
-            fatal("FakeV3Peer: getsockname: ", std::strerror(errno));
+            fatal("RidlessPeer: getsockname: ", std::strerror(errno));
         port = ntohs(addr.sin_port);
         acceptor = std::thread([this] { serveLoop(); });
     }
 
-    ~FakeV3Peer()
+    ~RidlessPeer()
     {
         stopping.store(true);
         ::shutdown(listenFd, SHUT_RDWR);
@@ -160,10 +173,8 @@ class FakeV3Peer
 
     Endpoint address() const { return Endpoint{"127.0.0.1", port}; }
 
-    /** v3 requests answered (the one-shot fallback exchanges). */
-    std::size_t v3Serves() const { return served.load(); }
-    /** v4 frames bounced with unsupported_version. */
-    std::size_t v4Bounces() const { return bounced.load(); }
+    /** Request lines answered (rid-less). */
+    std::size_t answered() const { return served.load(); }
 
   private:
     void serveLoop()
@@ -175,58 +186,42 @@ class FakeV3Peer
                     return;
                 continue;
             }
-            handle(c);
+            while (answerLine(c)) {
+            }
             ::close(c);
         }
     }
 
-    void handle(int c)
+    /** Read one request line and answer it; false on EOF/error. */
+    bool answerLine(int c)
     {
         std::string line;
         char ch = 0;
         while (::read(c, &ch, 1) == 1 && ch != '\n')
             line += ch;
-        JsonValue req;
-        std::string err;
-        if (!JsonValue::parse(line, req, err))
-            return;
-        const std::uint64_t version = req.get("version").asU64(1);
-
-        JsonValue resp;
-        if (version > 3) {
-            // Deliberately rid-less: a v3 server has never heard of
-            // rids, and the pool must downgrade on this shape.
-            resp = errorResponse("unsupported_version",
-                                 "this peer speaks protocol 3");
-            resp.set("supported",
-                     JsonValue::integer(std::uint64_t{3}));
-            ++bounced;
-        } else {
-            resp = okResponse();
-            JsonValue stats = JsonValue::object();
-            stats.set("simulations",
-                      JsonValue::integer(std::uint64_t{0}));
-            resp.set("stats", stats);
-            ++served;
-        }
-        stampVersion(resp, static_cast<unsigned>(version));
+        if (ch != '\n')
+            return false;
+        JsonValue resp = okResponse();
+        resp.set("stats", JsonValue::object());
+        stampVersion(resp, kProtocolVersion);
+        ++served;
 
         const std::string out = resp.dump() + "\n";
         std::size_t off = 0;
         while (off < out.size()) {
-            const ssize_t w =
-                ::write(c, out.data() + off, out.size() - off);
+            const ssize_t w = ::send(c, out.data() + off,
+                                     out.size() - off, MSG_NOSIGNAL);
             if (w <= 0)
-                return;
+                return false;
             off += static_cast<std::size_t>(w);
         }
+        return true;
     }
 
     int listenFd = -1;
     std::uint16_t port = 0;
     std::atomic<bool> stopping{false};
     std::atomic<std::size_t> served{0};
-    std::atomic<std::size_t> bounced{0};
     std::thread acceptor;
 };
 
@@ -376,7 +371,7 @@ TEST(PeerLink, PoolCountsLinkDeathsAndReconnects)
     loop.start();
     PeerPool &pool = loop.pool();
 
-    // Healthy exchange first: the link comes up and confirms v4.
+    // Healthy exchange first: the link comes up.
     JsonValue resp;
     std::string err;
     ASSERT_TRUE(pool.callSync(0, statsReq(), resp, err)) << err;
@@ -396,36 +391,46 @@ TEST(PeerLink, PoolCountsLinkDeathsAndReconnects)
 
     EXPECT_GE(pool.linkDeaths(), 1u);
     EXPECT_GE(pool.reconnects(), 1u);
-    EXPECT_EQ(pool.legacyFallbacks(), 0u);
     loop.stop();
 }
 
-TEST(PeerLink, LegacyPeerTriggersOneShotFallback)
+TEST(PeerLink, RidlessResponseFailsTheRequestOverCleanly)
 {
-    FakeV3Peer peer;
-    LinkLoop loop({peer.address()}, /*peerTimeoutMs=*/2000);
-    loop.start();
-    PeerPool &pool = loop.pool();
+    RidlessPeer peer;
+    {
+        // No per-request deadline: only the link-death path can end
+        // this exchange, so a hang here is a hang in the pool.
+        LinkLoop loop({peer.address()}, /*peerTimeoutMs=*/0);
+        loop.start();
+        const std::size_t threadsBefore = threadCount();
 
-    // The first frame is pipelined optimistically as v4; the peer
-    // bounces it rid-less with supported=3 and the pool replays the
-    // request over a one-shot v3 connection — the caller just sees a
-    // successful exchange.
-    JsonValue resp;
-    std::string err;
-    ASSERT_TRUE(pool.callSync(0, statsReq(), resp, err)) << err;
-    EXPECT_TRUE(resp.get("ok").asBool(false));
-    EXPECT_TRUE(resp.has("stats"));
-    EXPECT_GE(peer.v4Bounces(), 1u);
-    EXPECT_EQ(peer.v3Serves(), 1u);
-    EXPECT_GE(pool.legacyFallbacks(), 1u);
+        JsonValue resp;
+        std::string err;
+        EXPECT_FALSE(loop.pool().callSync(0, statsReq(), resp, err));
+        EXPECT_NE(err.find("without a rid"), std::string::npos) << err;
+        EXPECT_GE(peer.answered(), 1u);
+        EXPECT_GE(loop.pool().linkDeaths(), 1u);
+        // The failure came from the link itself, not from a second
+        // transport spun up behind it.
+        EXPECT_EQ(threadCount(), threadsBefore);
+        loop.stop();
+    }
 
-    // The downgrade is sticky: the next request goes straight to the
-    // one-shot path without another v4 probe on that link.
-    const std::size_t bouncesAfterDowngrade = peer.v4Bounces();
-    ASSERT_TRUE(pool.callSync(0, statsReq(), resp, err)) << err;
-    EXPECT_TRUE(resp.get("ok").asBool(false));
-    EXPECT_EQ(peer.v3Serves(), 2u);
-    EXPECT_EQ(peer.v4Bounces(), bouncesAfterDowngrade);
-    loop.stop();
+    // Inside a grid: every key the ring gives the rid-less peer fails
+    // over to its replica candidate, a healthy standalone node, and
+    // the grid stays byte-identical to a local run.
+    const std::vector<JobSpec> specs = variedSpecs();
+    const std::string expected = localJson(specs);
+    ReplicaCluster fx(1, 1, "");
+    fx.start();
+    std::vector<Endpoint> eps{peer.address(), fx.endpoint(0)};
+    ClusterClient client(eps, 2);
+    std::size_t peerOwned = 0;
+    for (const JobSpec &s : specs)
+        peerOwned += client.ringView().ownerIndex(
+                         exp::jobKey(s.toJob())) == 0;
+    ASSERT_GT(peerOwned, 0u) << "no key hashes to the rid-less peer";
+
+    EXPECT_EQ(asJson(client.runJobs(specs)), expected);
+    EXPECT_GE(client.failovers(), peerOwned);
 }

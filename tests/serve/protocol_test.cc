@@ -200,24 +200,28 @@ TEST(Protocol, ResponseHelpers)
     EXPECT_EQ(err.get("detail").asString(), "queue full");
 }
 
-TEST(Protocol, RequestVersionDefaultsToLegacyV1)
+TEST(Protocol, RequestVersionDefaultsToCurrent)
 {
     std::string err;
     unsigned v = 0;
     JsonValue req = JsonValue::object();
     req.set("op", JsonValue::string("stats"));
     ASSERT_TRUE(requestVersion(req, v, err)) << err;
-    EXPECT_EQ(v, 1u);
+    EXPECT_EQ(v, kProtocolVersion);
 
-    req.set("version", JsonValue::integer(std::uint64_t{2}));
+    req.set("version",
+            JsonValue::integer(std::uint64_t{kProtocolVersion}));
     ASSERT_TRUE(requestVersion(req, v, err)) << err;
-    EXPECT_EQ(v, 2u);
+    EXPECT_EQ(v, kProtocolVersion);
 
-    // A future version still parses; rejection is a separate,
-    // structured step so the client learns the supported maximum.
+    // Any other version still parses; rejection is a separate,
+    // structured step so the client learns the one supported version.
     req.set("version", JsonValue::integer(std::uint64_t{7}));
     ASSERT_TRUE(requestVersion(req, v, err));
     EXPECT_EQ(v, 7u);
+    const JsonValue rej = unsupportedVersionResponse(v);
+    EXPECT_EQ(rej.get("error").asString(), "unsupported_version");
+    EXPECT_EQ(rej.get("supported").asU64(0), kProtocolVersion);
 }
 
 TEST(Protocol, RequestVersionRejectsGarbage)

@@ -1,17 +1,22 @@
 /**
- * End-to-end tests for dcgserved's Server + Client: remote execution
- * bit-identical to a local Engine, the stats surface, backpressure on
- * a full queue, bad-request tolerance, warm resubmission, and the
+ * End-to-end tests for dcgserved's Server + ClusterClient: remote
+ * execution bit-identical to a local Engine, the stats surface,
+ * backpressure on a full queue, bad-request tolerance (a pathologically
+ * nested request line included), warm resubmission, and the
  * cold-restart-from-store acceptance path (0 simulations).
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <thread>
-#include <unistd.h>
 
 #include "exp/engine.hh"
 #include "serve/client.hh"
@@ -47,9 +52,9 @@ class ServerFixture
         io.join();
     }
 
-    std::string address() const
+    Endpoint endpoint() const
     {
-        return "127.0.0.1:" + std::to_string(server->port());
+        return Endpoint{"127.0.0.1", server->port()};
     }
 
     Server &get() { return *server; }
@@ -95,6 +100,36 @@ freshDir(const std::string &tag)
     return p.string();
 }
 
+/** Send one raw request line to @p port and read one response line. */
+std::string
+rawExchange(std::uint16_t port, const std::string &line)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return "";
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    std::string reply;
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) == 0) {
+        std::size_t off = 0;
+        while (off < line.size()) {
+            const ssize_t w =
+                ::write(fd, line.data() + off, line.size() - off);
+            if (w <= 0)
+                break;
+            off += static_cast<std::size_t>(w);
+        }
+        char ch = 0;
+        while (::read(fd, &ch, 1) == 1 && ch != '\n')
+            reply += ch;
+    }
+    ::close(fd);
+    return reply;
+}
+
 } // namespace
 
 TEST(Server, RemoteGridIsBitIdenticalToLocalRun)
@@ -109,7 +144,7 @@ TEST(Server, RemoteGridIsBitIdenticalToLocalRun)
     const auto expected = local.run(jobs);
 
     ServerFixture fx;
-    Client client(fx.address());
+    ClusterClient client({fx.endpoint()});
     const auto remote = client.runJobs(specs);
 
     ASSERT_EQ(remote.size(), expected.size());
@@ -119,7 +154,7 @@ TEST(Server, RemoteGridIsBitIdenticalToLocalRun)
 TEST(Server, StatsReportQueueWorkersAndCacheCounters)
 {
     ServerFixture fx;
-    Client client(fx.address());
+    ClusterClient client({fx.endpoint()});
     const auto specs = smallGridSpecs();
     client.runJobs(specs);
 
@@ -150,7 +185,7 @@ TEST(Server, FullQueueRejectsWithRetryAfterHint)
     cfg.queueCapacity = 0;  // deterministic: every uncached submit spills
     cfg.retryAfterMs = 123;
     ServerFixture fx(cfg);
-    Client client(fx.address());
+    ClusterClient client({fx.endpoint()});
 
     JsonValue req = JsonValue::object();
     req.set("op", JsonValue::string("submit"));
@@ -159,7 +194,7 @@ TEST(Server, FullQueueRejectsWithRetryAfterHint)
     s.warmup = kWarmup;
     req.set("job", s.toJson());
 
-    const JsonValue resp = client.request(req);
+    const JsonValue resp = client.roundTrip(req);
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("error").asString(), "busy");
     EXPECT_EQ(resp.get("retry_after_ms").asU64(), 123u);
@@ -173,11 +208,11 @@ TEST(Server, FullQueueRejectsWithRetryAfterHint)
 TEST(Server, MalformedAndUnknownRequestsAreRejectedNotFatal)
 {
     ServerFixture fx;
-    Client client(fx.address());
+    ClusterClient client({fx.endpoint()});
 
     JsonValue bad = JsonValue::object();
     bad.set("op", JsonValue::string("frobnicate"));
-    JsonValue resp = client.request(bad);
+    JsonValue resp = client.roundTrip(bad);
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("error").asString(), "bad_request");
 
@@ -187,14 +222,14 @@ TEST(Server, MalformedAndUnknownRequestsAreRejectedNotFatal)
     JobSpec s;
     s.bench = "no_such_bench";
     submit.set("job", s.toJson());
-    resp = client.request(submit);
+    resp = client.roundTrip(submit);
     EXPECT_FALSE(resp.get("ok").asBool(true));
 
     // Unknown job id.
     JsonValue status = JsonValue::object();
     status.set("op", JsonValue::string("status"));
     status.set("id", JsonValue::integer(std::uint64_t{999999}));
-    resp = client.request(status);
+    resp = client.roundTrip(status);
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("error").asString(), "unknown_id");
 
@@ -202,6 +237,31 @@ TEST(Server, MalformedAndUnknownRequestsAreRejectedNotFatal)
     const JsonValue stats = client.stats();
     EXPECT_GE(stats.get("bad_requests").asU64(), 2u);
     EXPECT_EQ(stats.get("jobs_submitted").asU64(), 0u);
+}
+
+TEST(Server, DeeplyNestedRequestLineIsRejectedNotFatal)
+{
+    ServerFixture fx;
+
+    // One maximal request line (1 MiB including the newline) of '['
+    // — enough nesting to overflow an unbounded recursive parser.
+    std::string line(std::size_t{1} << 20, '[');
+    line.back() = '\n';
+    JsonValue resp;
+    std::string err;
+    ASSERT_TRUE(JsonValue::parse(rawExchange(fx.get().port(), line),
+                                 resp, err))
+        << err;
+    EXPECT_FALSE(resp.get("ok").asBool(true));
+    EXPECT_EQ(resp.get("error").asString(), "bad_request");
+    EXPECT_NE(resp.get("detail").asString().find("nesting"),
+              std::string::npos)
+        << resp.dump();
+
+    // The node survived and keeps serving.
+    ClusterClient client({fx.endpoint()});
+    const JsonValue stats = client.stats();
+    EXPECT_GE(stats.get("bad_requests").asU64(), 1u);
 }
 
 TEST(Server, ColdRestartServesGridEntirelyFromDisk)
@@ -214,7 +274,7 @@ TEST(Server, ColdRestartServesGridEntirelyFromDisk)
         ServerConfig cfg;
         cfg.storeDir = dir;
         ServerFixture fx(cfg);
-        Client client(fx.address());
+        ClusterClient client({fx.endpoint()});
         firstJson = asJson(client.runJobs(specs));
         const JsonValue stats = client.stats();
         EXPECT_EQ(stats.get("simulations").asU64(), specs.size());
@@ -225,7 +285,7 @@ TEST(Server, ColdRestartServesGridEntirelyFromDisk)
         ServerConfig cfg;
         cfg.storeDir = dir;
         ServerFixture fx(cfg);
-        Client client(fx.address());
+        ClusterClient client({fx.endpoint()});
         const std::string secondJson = asJson(client.runJobs(specs));
         EXPECT_EQ(firstJson, secondJson);
 
@@ -243,7 +303,7 @@ TEST(Server, ColdRestartServesGridEntirelyFromDisk)
 TEST(Server, StopWhileIdleDrainsCleanly)
 {
     ServerFixture fx;
-    Client client(fx.address());
+    ClusterClient client({fx.endpoint()});
     JobSpec s;
     s.insts = kInsts;
     s.warmup = kWarmup;

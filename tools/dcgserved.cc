@@ -19,7 +19,7 @@
  * holder (failover), and a holder that lost its copy pulls it back
  * from a sibling (read-repair).
  *
- * Membership is elastic (protocol v5): the ring is versioned by
+ * Membership is elastic: the ring is versioned by
  * epochs, and the admin verbs `join`/`leave` (see `dcgsim --join`)
  * add or remove a node at runtime — only the remapped ~1/N of arcs
  * move, and requests keep being answered throughout via dual-epoch

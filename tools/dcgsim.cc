@@ -107,7 +107,7 @@ makeServerClient(const Options &opts)
 }
 
 void
-printServerSummary(std::size_t jobs, serve::ClientBase &client)
+printServerSummary(std::size_t jobs, serve::ClusterClient &client)
 {
     serve::JsonValue stats = client.stats();
     serve::JsonValue s = serve::JsonValue::object();
