@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <ostream>
 
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
@@ -214,6 +215,22 @@ TEST(TraceGenerator, LowPhaseShortensDependences)
     }
     EXPECT_GT(ready_high / n_high, ready_low / n_low + 0.2);
 }
+
+namespace dcg {
+
+/**
+ * gtest printer for the MixConvergence parameter. Without it gtest dumps
+ * the object's raw bytes, whose first word is the name string's heap
+ * address, so the discovered ctest names would change with the binary's
+ * layout and the build directory's path.
+ */
+void
+PrintTo(const Profile &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
+} // namespace dcg
 
 /** Instruction-mix convergence for every shipped SPEC2000 profile. */
 class MixConvergence : public ::testing::TestWithParam<Profile> {};
