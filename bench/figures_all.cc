@@ -52,10 +52,10 @@ main()
     std::uint64_t jobs_total = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (const FigureGrid &fig : figures) {
-        const auto before = engine.cacheMisses();
+        const auto before = engine.simulations();
         const auto results = runGrid(fig.req);
         jobs_total += exp::gridJobs(fig.req).size();
-        const auto simulated = engine.cacheMisses() - before;
+        const auto simulated = engine.simulations() - before;
         std::printf("%-22s %2zu benchmarks, %3zu jobs, %3llu simulated\n",
                     fig.name, results.size(),
                     exp::gridJobs(fig.req).size(),
@@ -64,10 +64,11 @@ main()
     const auto elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0);
 
-    std::printf("\ntotal: %llu jobs requested, %llu simulated "
-                "(%llu served from cache) in %.1f s\n",
+    std::printf("\ntotal: %llu jobs requested, %llu simulated in %llu "
+                "timing runs (%llu served from cache) in %.1f s\n",
                 static_cast<unsigned long long>(jobs_total),
-                static_cast<unsigned long long>(engine.cacheMisses()),
+                static_cast<unsigned long long>(engine.simulations()),
+                static_cast<unsigned long long>(engine.timingRuns()),
                 static_cast<unsigned long long>(engine.cacheHits()),
                 elapsed.count());
     printEngineSummary();

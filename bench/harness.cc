@@ -37,7 +37,8 @@ printEngineSummary()
 {
     const exp::Engine &e = exp::sessionEngine();
     std::cout << "\n[engine] " << e.workers() << " worker(s), "
-              << e.cacheMisses() << " simulation(s), "
+              << e.simulations() << " simulation(s) in "
+              << e.timingRuns() << " timing run(s), "
               << e.cacheHits() << " cache hit(s)\n";
 }
 

@@ -98,7 +98,8 @@ main(int argc, char **argv)
               << " PLB-orig ~6.3/4.9; PLB-ext ~11.0/8.7;"
               << " PLB perf loss ~2.9%.\n"
               << "[engine] " << engine.workers() << " worker(s), "
-              << engine.cacheMisses() << " simulation(s)\n";
+              << engine.simulations() << " simulation(s) in "
+              << engine.timingRuns() << " timing run(s)\n";
 
     if (opts.has("json"))
         writeResultsJsonFile(flat, opts.getString("json", ""));

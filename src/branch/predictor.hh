@@ -39,6 +39,8 @@ struct BranchPredictorConfig
     unsigned rasEntries = 32;
     unsigned bimodalEntries = 8192;
     unsigned chooserEntries = 8192;
+
+    bool operator==(const BranchPredictorConfig &) const = default;
 };
 
 /** The front end's view of one prediction. */

@@ -70,6 +70,8 @@ struct CacheGeometry
 
     /** Tagged next-line prefetch on demand misses. */
     bool nextLinePrefetch = false;
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 class Cache : public MemLevel

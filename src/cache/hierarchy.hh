@@ -20,6 +20,8 @@ struct HierarchyConfig
     CacheGeometry l1d{64 * 1024, 2, 32, 2};
     CacheGeometry l2{2 * 1024 * 1024, 8, 64, 12};
     Cycle memLatency = 100;
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 class MemoryHierarchy

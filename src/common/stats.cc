@@ -121,10 +121,25 @@ StatRegistry::resetAll()
 void
 StatRegistry::dump(std::ostream &os) const
 {
-    for (const auto &[name, e] : entries) {
-        os << std::left << std::setw(40) << name << ' '
-           << std::setw(16) << std::setprecision(6) << e.printable()
-           << " # " << e.desc << '\n';
+    dump(os, StatRegistry{});
+}
+
+void
+StatRegistry::dump(std::ostream &os, const StatRegistry &other) const
+{
+    auto a = entries.begin();
+    auto b = other.entries.begin();
+    while (a != entries.end() || b != other.entries.end()) {
+        if (a != entries.end() && b != other.entries.end() &&
+            a->first == b->first)
+            panic("statistic '", a->first, "' in both merged registries");
+        auto &next = b == other.entries.end() ||
+                     (a != entries.end() && a->first < b->first) ? a : b;
+        os << std::left << std::setw(40) << next->first << ' '
+           << std::setw(16) << std::setprecision(6)
+           << next->second.printable() << " # " << next->second.desc
+           << '\n';
+        ++next;
     }
 }
 

@@ -129,6 +129,13 @@ class StatRegistry
     /** Dump "name value # desc" lines, sorted by name. */
     void dump(std::ostream &os) const;
 
+    /**
+     * Dump this registry and @p other as one, sorted by name (a
+     * simulator's timing registry merged with one scheme lane's). A
+     * name registered in both panics.
+     */
+    void dump(std::ostream &os, const StatRegistry &other) const;
+
     std::size_t size() const { return entries.size(); }
 
   private:

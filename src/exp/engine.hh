@@ -13,6 +13,24 @@
  * simulates each (benchmark, config) pair exactly once, even when
  * several batches — or several threads within one batch — request it.
  *
+ * Work items: run() groups a batch by timingKey(). Jobs whose keys
+ * differ only in scheme, per-scheme knobs, technology and capture
+ * list, and whose schemes are all timing-neutral, form one item: one
+ * Simulator whose lanes are the item's schemes (see sim/simulator.hh).
+ * Every other job is an item of its own, and runOne() is an item of
+ * one job. A worker runs an item in a fixed order:
+ *
+ *  1. claim every key of the item in the cache;
+ *  2. answer the keys it owns from the attached store where it can;
+ *  3. simulate the remaining owned keys as lanes of one timing run;
+ *  4. put and publish those results;
+ *  5. only then wait for keys another thread owns.
+ *
+ * Publishing before waiting is what keeps two overlapping items (or a
+ * runOne() racing a run()) from waiting on each other. Every job still
+ * counts exactly one cache hit, disk hit or simulation; timingRuns()
+ * counts the Simulators actually run.
+ *
  * Beneath the in-memory cache an optional ResultStoreBase can be
  * attached (see serve/store.hh for the on-disk implementation): a
  * memory miss consults the store before simulating, and freshly
@@ -155,8 +173,10 @@ class Engine : public StoreLifecycle
     std::uint64_t cacheMisses() const { return misses.load(); }
     /** Memory misses answered by the persistent store. */
     std::uint64_t diskHits() const { return diskHitCount.load(); }
-    /** Simulations actually executed (= misses - disk hits). */
+    /** Jobs actually simulated (= misses - disk hits). */
     std::uint64_t simulations() const { return simCount.load(); }
+    /** Timing runs executed; each simulates one or more jobs. */
+    std::uint64_t timingRuns() const { return timingRunCount.load(); }
     std::size_t cacheSize() const;
     void clearCache();
     /// @}
@@ -200,7 +220,14 @@ class Engine : public StoreLifecycle
 
     std::shared_ptr<Entry> lookupOrClaim(const std::string &key,
                                          bool &owner);
-    RunResult execute(const Job &job) const;
+    /** Run one work item; results and outcomes in @p item's order. */
+    std::vector<RunResult> runItem(const std::vector<const Job *> &item,
+                                   std::vector<RunOutcome> &outcomes);
+    void publish(const std::string &key,
+                 const std::shared_ptr<Entry> &entry, const RunResult &r);
+    /** One timing run with a lane per job in @p lanes. */
+    static std::vector<RunResult>
+    execute(const std::vector<const Job *> &lanes);
 
     unsigned numWorkers;
     mutable std::mutex cacheMutex;
@@ -212,6 +239,7 @@ class Engine : public StoreLifecycle
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> diskHitCount{0};
     std::atomic<std::uint64_t> simCount{0};
+    std::atomic<std::uint64_t> timingRunCount{0};
 };
 
 /**

@@ -73,8 +73,9 @@ serialize(KeyStream &ks, const CacheGeometry &g)
        << g.mshrs;
 }
 
+/** The core, predictor and memory fields of @p c (jobKey's prefix). */
 void
-serialize(KeyStream &ks, const SimConfig &c)
+serializeTimingStack(KeyStream &ks, const SimConfig &c)
 {
     const CoreConfig &core = c.core;
     ks << core.fetchWidth << core.renameWidth << core.issueWidth
@@ -99,6 +100,12 @@ serialize(KeyStream &ks, const SimConfig &c)
     serialize(ks, c.mem.l1d);
     serialize(ks, c.mem.l2);
     ks << c.mem.memLatency;
+}
+
+void
+serialize(KeyStream &ks, const SimConfig &c)
+{
+    serializeTimingStack(ks, c);
 
     const Technology &t = c.tech;
     ks << t.vdd << t.frequencyGHz << t.latchBitCap << t.clockWiringCap
@@ -176,6 +183,17 @@ deriveJobSeed(const Job &job)
     KeyStream ks;
     serialize(ks, job.profile);
     return splitmix(job.config.seed ^ fnv1a(ks.str()));
+}
+
+std::string
+timingKey(const Job &job)
+{
+    KeyStream ks;
+    serialize(ks, job.profile);
+    serializeTimingStack(ks, job.config);
+    ks << job.config.seed << job.config.skipAhead;
+    ks << job.resolvedInstructions() << job.resolvedWarmup();
+    return ks.str();
 }
 
 std::string

@@ -68,6 +68,16 @@ std::uint64_t deriveJobSeed(const Job &job);
  */
 std::string jobKey(const Job &job);
 
+/**
+ * Key of the timing run behind @p job: the profile, the timing fields
+ * of the configuration (core, branch predictor, memory hierarchy,
+ * seed, skip-ahead) and the resolved run lengths. Jobs with equal
+ * timing keys differ at most in scheme, per-scheme knobs, technology
+ * and capture list; when their schemes are all timing-neutral the
+ * Engine simulates them as lanes of one Simulator.
+ */
+std::string timingKey(const Job &job);
+
 } // namespace dcg::exp
 
 #endif // DCG_EXP_JOB_HH

@@ -16,7 +16,8 @@ namespace {
 const bool registered = registerScheme(
     {"base",
      "baseline, nothing clock-gated (paper Sec 5.1 denominator)",
-     {}},
+     {},
+     true},
     [](const SimConfig &cfg, StatRegistry &stats) {
         (void)cfg;
         (void)stats;

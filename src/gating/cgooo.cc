@@ -85,7 +85,8 @@ const bool registered = registerScheme(
      " block-granular issue-queue clock and wakeup-broadcast gating",
      {{"block-size", "issue-queue entries per gated block", "16"},
       {"sched-overhead",
-       "per-block scheduler energy, fraction of iqClockCap", "0.04"}}},
+       "per-block scheduler energy, fraction of iqClockCap", "0.04"}},
+     true},
     [](const SimConfig &cfg, StatRegistry &stats) {
         return std::make_unique<CgoooController>(cfg.core, cfg.cgooo,
                                                  stats);

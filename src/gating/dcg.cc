@@ -19,7 +19,8 @@ const bool registered = registerScheme(
      " D-cache decoder and result-bus gating from piped GRANT signals",
      {{"gate-iq",
        "also gate empty issue-queue entries after [6] (dcgsim"
-       " --gate-iq)", "off"}}},
+       " --gate-iq)", "off"}},
+     true},
     [](const SimConfig &cfg, StatRegistry &stats) {
         return std::make_unique<DcgController>(cfg.core, cfg.dcg,
                                                stats);

@@ -86,7 +86,8 @@ const bool registered = registerScheme(
        "switching-bit fraction within active latch slots", "0.45"},
       {"compare-overhead",
        "comparator energy per guarded bit, fraction of latchBitCap",
-       "0.08"}}},
+       "0.08"}},
+     true},
     [](const SimConfig &cfg, StatRegistry &stats) {
         return std::make_unique<DdcgController>(cfg.core, cfg.ddcg,
                                                 stats);

@@ -17,7 +17,8 @@
  *
  *     namespace { const bool registered = gating::registerScheme(
  *         {"myscheme", "what it gates (Paper et al.)",
- *          {{"knob", "what it does", "default"}}},
+ *          {{"knob", "what it does", "default"}},
+ *          false},  // timingNeutral; see SchemeInfo
  *         [](const SimConfig &cfg, StatRegistry &stats) {
  *             return std::make_unique<MyController>(cfg.core,
  *                                                   cfg.myscheme, stats);
@@ -65,6 +66,16 @@ struct SchemeInfo
     std::string name;
     std::string description;  ///< one line, names the source paper
     std::vector<SchemeKnob> knobs;
+
+    /**
+     * The scheme never alters the core's behaviour: beginCycle() and
+     * skipIdle() leave the core untouched, so every run is
+     * cycle-identical to base on the same trace. Such a scheme may
+     * share one timing run with others as a Simulator lane. Declare it
+     * only when the lane-equivalence sweep in
+     * tests/sim/scheme_sweep_test.cc proves it.
+     */
+    bool timingNeutral = false;
 };
 
 /** Builds the scheme's policy; stats registrations happen inside. */

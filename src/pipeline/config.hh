@@ -77,6 +77,8 @@ struct DepthConfig
 
     /** Latch groups belonging to one phase. */
     unsigned groupsFor(LatchPhase phase) const;
+
+    bool operator==(const DepthConfig &) const = default;
 };
 
 /** The 20-stage configuration used for Figure 17. */
@@ -132,6 +134,8 @@ struct CoreConfig
 
     /** Maximum instance count any FU type may have. */
     static constexpr unsigned kMaxFuPerType = 16;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Timing offsets derived from a CoreConfig (see core.cc for use). */

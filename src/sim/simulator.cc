@@ -8,17 +8,47 @@
 
 namespace dcg {
 
-Simulator::Simulator(const Profile &profile, const SimConfig &config)
-    : cfg(config), prof(profile)
+bool
+sameTiming(const SimConfig &a, const SimConfig &b)
 {
+    return a.core == b.core && a.bpred == b.bpred && a.mem == b.mem &&
+           a.seed == b.seed && a.skipAhead == b.skipAhead;
+}
+
+Simulator::Simulator(const Profile &profile, const SimConfig &config)
+    : Simulator(profile, std::vector<SimConfig>{config})
+{
+}
+
+Simulator::Simulator(const Profile &profile,
+                     const std::vector<SimConfig> &lanes)
+    : prof(profile)
+{
+    if (lanes.empty())
+        fatal("Simulator needs at least one scheme lane");
+    cfg = lanes.front();
+    for (const SimConfig &c : lanes) {
+        const gating::SchemeInfo *info = gating::findScheme(c.scheme);
+        if (lanes.size() > 1 && info && !info->timingNeutral)
+            fatal("scheme '", c.scheme, "' is not timing-neutral and"
+                  " cannot share a timing run with other lanes");
+        if (!sameTiming(c, cfg))
+            fatal("scheme lane '", c.scheme, "' differs from lane '",
+                  cfg.scheme, "' in a timing field");
+    }
+
     genP = std::make_unique<TraceGenerator>(prof, cfg.seed);
     memP = std::make_unique<MemoryHierarchy>(cfg.mem, statsP);
     bpredP = std::make_unique<BranchPredictor>(cfg.bpred, statsP);
     coreP = std::make_unique<Core>(cfg.core, *genP, *memP, *bpredP,
                                    statsP);
-    powerP = std::make_unique<PowerModel>(cfg.core, cfg.tech, statsP,
-                                          &memP->l2cache());
-    policyP = gating::makePolicy(cfg, statsP);
+    laneV.reserve(lanes.size());
+    for (const SimConfig &c : lanes) {
+        Lane &lane = laneV.emplace_back();
+        lane.power = std::make_unique<PowerModel>(
+            c.core, c.tech, lane.stats, &memP->l2cache());
+        lane.policy = gating::makePolicy(c, lane.stats);
+    }
 }
 
 Simulator::~Simulator() = default;
@@ -65,20 +95,22 @@ Simulator::step()
     if (cfg.skipAhead) {
         if (const Cycle k = coreP->idleSkipAvailable()) {
             // The window is provably all-idle: charge its energy
-            // through the scheme's bulk hook and jump the core. Zero
+            // through each scheme's bulk hook and jump the core. Zero
             // activity means zero utilisation contributions.
-            policyP->skipIdle(*coreP, k, *powerP);
+            for (Lane &lane : laneV)
+                lane.policy->skipIdle(*coreP, k, *lane.power);
             coreP->skipIdle(k);
             measuredCycles += k;
             return;
         }
     }
 
-    policyP->beginCycle(*coreP);
+    for (Lane &lane : laneV)
+        lane.policy->beginCycle(*coreP);
     coreP->tick();
     const CycleActivity &act = coreP->activity();
-    const GateState gates = policyP->gates(act);
-    powerP->tick(act, gates);
+    for (Lane &lane : laneV)
+        lane.power->tick(act, lane.policy->gates(act));
 
     // Utilisation bookkeeping (measured window only; reset clears it).
     intUnitBusySum += act.fuBusyCount(FuType::IntAluUnit) +
@@ -103,7 +135,10 @@ Simulator::resetMeasurement()
     // The flat counter block must be zeroed with the registry: a later
     // fold would otherwise resurrect warm-up values resetAll discarded.
     coreP->resetStats();
-    powerP->reset();
+    for (Lane &lane : laneV) {
+        lane.stats.resetAll();
+        lane.power->reset();
+    }
     intUnitBusySum = 0;
     fpUnitBusySum = 0;
     latchFluxSum = 0;
@@ -135,17 +170,25 @@ Simulator::run(std::uint64_t instructions, std::uint64_t warmup)
     }
 }
 
-RunResult
-Simulator::result() const
+void
+Simulator::foldStats(const Lane &lane) const
 {
-    // Fold the hot-path counter blocks into the registry so formulas
+    // Fold the hot-path counter blocks into the registries so formulas
     // (IPC, average power) evaluate against current values.
     coreP->foldStats();
-    powerP->foldStats();
+    lane.power->foldStats();
+}
+
+RunResult
+Simulator::result(std::size_t lane) const
+{
+    const Lane &l = laneV.at(lane);
+    foldStats(l);
+    const PowerModel &pm = *l.power;
 
     RunResult r;
     r.benchmark = prof.name;
-    r.scheme = policyP->name();
+    r.scheme = l.policy->name();
     r.instructions = coreP->committedInsts();
     r.cycles = measuredCycles;
     r.ipc = measuredCycles
@@ -153,15 +196,15 @@ Simulator::result() const
           static_cast<double>(measuredCycles)
         : 0.0;
 
-    r.totalEnergyPJ = powerP->totalEnergyPJ();
-    r.avgPowerW = powerP->averagePowerW();
+    r.totalEnergyPJ = pm.totalEnergyPJ();
+    r.avgPowerW = pm.averagePowerW();
     for (unsigned c = 0; c < kNumPowerComponents; ++c)
-        r.componentPJ[c] = powerP->energyPJ(static_cast<PowerComponent>(c));
-    r.intUnitsPJ = powerP->intUnitsEnergyPJ();
-    r.fpUnitsPJ = powerP->fpUnitsEnergyPJ();
-    r.latchPJ = powerP->latchEnergyPJ();
-    r.dcachePJ = powerP->dcacheEnergyPJ();
-    r.resultBusPJ = powerP->resultBusEnergyPJ();
+        r.componentPJ[c] = pm.energyPJ(static_cast<PowerComponent>(c));
+    r.intUnitsPJ = pm.intUnitsEnergyPJ();
+    r.fpUnitsPJ = pm.fpUnitsEnergyPJ();
+    r.latchPJ = pm.latchEnergyPJ();
+    r.dcachePJ = pm.dcacheEnergyPJ();
+    r.resultBusPJ = pm.resultBusEnergyPJ();
 
     const auto cyc = static_cast<double>(measuredCycles);
     if (cyc > 0) {
@@ -186,12 +229,21 @@ Simulator::result() const
     return r;
 }
 
-void
-Simulator::dumpStats(std::ostream &os) const
+double
+Simulator::stat(const std::string &name, std::size_t lane) const
 {
-    coreP->foldStats();
-    powerP->foldStats();
-    statsP.dump(os);
+    const Lane &l = laneV.at(lane);
+    foldStats(l);
+    return statsP.contains(name) ? statsP.lookup(name)
+                                 : l.stats.lookup(name);
+}
+
+void
+Simulator::dumpStats(std::ostream &os, std::size_t lane) const
+{
+    const Lane &l = laneV.at(lane);
+    foldStats(l);
+    statsP.dump(os, l.stats);
 }
 
 std::uint64_t

@@ -1,8 +1,29 @@
 /**
  * @file
- * Top-level simulator: wires a synthetic workload, the Table-1 core,
- * the memory hierarchy, a gating policy and the power model; runs
- * warm-up + measurement and produces a RunResult.
+ * Top-level simulator: one timing stack feeding one or more scheme
+ * lanes; runs warm-up + measurement and produces a RunResult per lane.
+ *
+ * The timing stack is the synthetic workload, the memory hierarchy,
+ * the branch predictor, the Table-1 core and the utilisation sums. A
+ * scheme lane is a gating policy, a power model and the lane's own
+ * statistics registry. Each cycle the core runs once and every lane
+ * calls beginCycle, gates and tick (or skipIdle over an idle window)
+ * on the one activity record it produced.
+ *
+ * Several lanes may share one timing stack only when sharing cannot
+ * change what any of them sees: every lane's config matches the others
+ * in each timing field (core, branch predictor, memory hierarchy, seed,
+ * skip-ahead), and every lane's scheme is declared
+ * SchemeInfo::timingNeutral, i.e. never touches the core. Each lane's
+ * result, statistics dump and stat() values are then byte-identical to
+ * a solo Simulator of its config (tests/sim/scheme_sweep_test.cc). A
+ * scheme that steers the core (PLB's issue modes) runs alone;
+ * Simulator(profile, config) is the one-lane case of the same loop.
+ *
+ * Statistics: the timing stack registers into one registry and each
+ * lane into its own. stat(name, lane) and dumpStats(os, lane) read the
+ * timing registry merged with the lane's, in name order, so a one-lane
+ * dump is the same report a single registry gave.
  */
 
 #ifndef DCG_SIM_SIMULATOR_HH
@@ -13,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "branch/predictor.hh"
 #include "cache/hierarchy.hh"
@@ -113,10 +135,25 @@ struct RunResult
     }
 };
 
+/**
+ * True when @p a and @p b agree in every timing field (core, branch
+ * predictor, memory hierarchy, seed, skip-ahead), so they may share
+ * one Simulator timing stack.
+ */
+bool sameTiming(const SimConfig &a, const SimConfig &b);
+
 class Simulator
 {
   public:
+    /** One lane: a solo run of @p config. */
     Simulator(const Profile &profile, const SimConfig &config);
+
+    /**
+     * One lane per entry of @p lanes, sharing one timing stack. With
+     * more than one lane, fatal() unless every lane's scheme is
+     * timing-neutral and all lanes agree in every timing field.
+     */
+    Simulator(const Profile &profile, const std::vector<SimConfig> &lanes);
     ~Simulator();
 
     /**
@@ -125,23 +162,44 @@ class Simulator
      */
     void run(std::uint64_t instructions, std::uint64_t warmup);
 
-    RunResult result() const;
+    std::size_t lanes() const { return laneV.size(); }
+
+    RunResult result(std::size_t lane = 0) const;
+
+    /**
+     * A statistic's printable value, looked up in the timing registry
+     * merged with @p lane's; 0 if absent (as StatRegistry::lookup).
+     */
+    double stat(const std::string &name, std::size_t lane = 0) const;
+
+    /** Dump the timing registry merged with @p lane's, by name. */
+    void dumpStats(std::ostream &os, std::size_t lane = 0) const;
 
     Core &core() { return *coreP; }
-    PowerModel &power() { return *powerP; }
-    StatRegistry &stats() { return statsP; }
-    GatingPolicy &policy() { return *policyP; }
     MemoryHierarchy &memory() { return *memP; }
-
-    /** Dump the full statistics registry. */
-    void dumpStats(std::ostream &os) const;
+    /** The timing stack's registry (core, caches, predictor). */
+    StatRegistry &timingStats() { return statsP; }
+    PowerModel &power(std::size_t lane = 0) { return *laneV.at(lane).power; }
+    GatingPolicy &policy(std::size_t lane = 0)
+    {
+        return *laneV.at(lane).policy;
+    }
 
   private:
+    /** One scheme fed by the shared timing stack. */
+    struct Lane
+    {
+        StatRegistry stats;
+        std::unique_ptr<PowerModel> power;
+        std::unique_ptr<GatingPolicy> policy;
+    };
+
     void step();
     void resetMeasurement();
     void prewarmCaches();
+    void foldStats(const Lane &lane) const;
 
-    SimConfig cfg;
+    SimConfig cfg;  ///< the timing fields every lane shares
     Profile prof;
 
     StatRegistry statsP;
@@ -149,8 +207,7 @@ class Simulator
     std::unique_ptr<MemoryHierarchy> memP;
     std::unique_ptr<BranchPredictor> bpredP;
     std::unique_ptr<Core> coreP;
-    std::unique_ptr<PowerModel> powerP;
-    std::unique_ptr<GatingPolicy> policyP;
+    std::vector<Lane> laneV;
 
     /**
      * Utilisation accumulators over measured cycles. Integer: the
@@ -164,9 +221,6 @@ class Simulator
     std::uint64_t portUseSum = 0;
     std::uint64_t busUseSum = 0;
     std::uint64_t measuredCycles = 0;
-
-    /** L2 access count at measurement start (for energy reset). */
-    std::uint64_t l2AccessBase = 0;
 };
 
 /**

@@ -1,6 +1,7 @@
 /**
  * Tests for the parallel experiment engine: determinism across worker
- * counts and execution orders, cache behaviour, and stat capture.
+ * counts and execution orders, cache behaviour, stat capture, and the
+ * grouping of timing-identical jobs into one fused timing run.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -358,6 +361,212 @@ TEST(Engine, LifecycleEvictToKeepsRecentlyUsedEntries)
 
     // The in-memory cache has nothing to compact.
     EXPECT_EQ(engine.compact(), 0u);
+}
+
+namespace {
+
+/** In-memory store that answers a fixed set of keys and logs puts. */
+class FakeStore final : public ResultStoreBase
+{
+  public:
+    void
+    seed(const Job &job, const RunResult &r)
+    {
+        records[jobKey(job)] = r;
+    }
+
+    bool
+    get(const std::string &key, RunResult &out) override
+    {
+        std::lock_guard<std::mutex> lk(m);
+        const auto it = records.find(key);
+        if (it == records.end())
+            return false;
+        out = it->second;
+        return true;
+    }
+
+    void
+    put(const std::string &key, const RunResult &r) override
+    {
+        std::lock_guard<std::mutex> lk(m);
+        ++puts;
+        records[key] = r;
+    }
+
+    std::size_t
+    putCount()
+    {
+        std::lock_guard<std::mutex> lk(m);
+        return puts;
+    }
+
+  private:
+    std::mutex m;
+    std::map<std::string, RunResult> records;
+    std::size_t puts = 0;
+};
+
+Job
+smallJob(const char *bench, const char *scheme)
+{
+    return makeJob(profileByName(bench), table1Config(scheme), kInsts,
+                   kWarmup);
+}
+
+/**
+ * gzip: base, dcg, ddcg and a duplicate dcg share one timing run, and
+ * plb-ext runs alone. mcf: base (pre-cached), cgooo and dcg share one,
+ * and plb-orig runs alone. The store answers gzip/ddcg.
+ */
+std::vector<Job>
+mixedBatch()
+{
+    return {smallJob("gzip", "base"), smallJob("gzip", "dcg"),
+            smallJob("gzip", "plb-ext"), smallJob("gzip", "ddcg"),
+            smallJob("gzip", "dcg"), smallJob("mcf", "base"),
+            smallJob("mcf", "cgooo"), smallJob("mcf", "plb-orig"),
+            smallJob("mcf", "dcg")};
+}
+
+constexpr std::size_t kStoreAnswered = 3;
+constexpr std::size_t kPreCached = 5;
+
+/** What the fake store hands back: recognisably not simulated. */
+RunResult
+storedResult()
+{
+    RunResult r;
+    r.benchmark = "gzip";
+    r.scheme = "ddcg";
+    r.cycles = 42;
+    return r;
+}
+
+struct MixedRun
+{
+    std::vector<RunResult> results;
+    std::uint64_t hits, diskHits, simulations, timingRuns;
+    std::size_t puts;
+};
+
+MixedRun
+runMixedBatch(unsigned workers)
+{
+    const std::vector<Job> jobs = mixedBatch();
+    auto store = std::make_shared<FakeStore>();
+    store->seed(jobs[kStoreAnswered], storedResult());
+    Engine engine(workers);
+    engine.attachStore(store);
+    engine.runOne(jobs[kPreCached]);
+    const std::vector<RunResult> results = engine.run(jobs);
+    return {results, engine.cacheHits(), engine.diskHits(),
+            engine.simulations(), engine.timingRuns(), store->putCount()};
+}
+
+} // namespace
+
+TEST(EngineGrouping, MixedBatchCountsEachJobExactlyOnce)
+{
+    const std::vector<Job> jobs = mixedBatch();
+    for (const unsigned workers : {1u, 4u}) {
+        const MixedRun run = runMixedBatch(workers);
+        // Hits: the duplicate gzip/dcg and the pre-cached mcf/base.
+        EXPECT_EQ(run.hits, 2u) << workers;
+        EXPECT_EQ(run.diskHits, 1u) << workers;
+        // 1 pre-cache + gzip {base, dcg} + plb-ext + mcf {cgooo, dcg}
+        // + plb-orig.
+        EXPECT_EQ(run.simulations, 7u) << workers;
+        // Pre-cache, gzip group, plb-ext, mcf group, plb-orig.
+        EXPECT_EQ(run.timingRuns, 5u) << workers;
+        // Only simulated keys are written back.
+        EXPECT_EQ(run.puts, 7u) << workers;
+
+        ASSERT_EQ(run.results.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_EQ(run.results[i].benchmark, jobs[i].profile.name);
+            EXPECT_EQ(run.results[i].scheme, jobs[i].config.scheme);
+        }
+        EXPECT_EQ(run.results[kStoreAnswered].cycles, 42u);
+        expectBitIdentical(run.results[1], run.results[4]);
+    }
+}
+
+TEST(EngineGrouping, FusedBatchIsBitIdenticalToSoloRuns)
+{
+    const std::vector<Job> jobs = mixedBatch();
+    const MixedRun serial = runMixedBatch(1);
+    const MixedRun parallel = runMixedBatch(4);
+
+    // runOne never fuses: each job is its own timing run.
+    Engine solo(1);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        expectBitIdentical(serial.results[i], parallel.results[i]);
+        if (i != kStoreAnswered)
+            expectBitIdentical(serial.results[i], solo.runOne(jobs[i]));
+    }
+    EXPECT_EQ(solo.timingRuns(), solo.simulations());
+}
+
+TEST(EngineGrouping, CapturedStatsComeFromEachLane)
+{
+    Job dcg = smallJob("gzip", "dcg");
+    dcg.captureStats = {"dcg.toggles.IntAlu", "core.cycles"};
+    Job base = smallJob("gzip", "base");
+    base.captureStats = {"dcg.toggles.IntAlu"};
+
+    Engine fused(1);
+    const std::vector<RunResult> r = fused.run({dcg, base});
+    EXPECT_EQ(fused.timingRuns(), 1u);
+    Engine solo(1);
+    expectBitIdentical(r[0], solo.runOne(dcg));
+    expectBitIdentical(r[1], solo.runOne(base));
+    EXPECT_GT(r[0].extraStats.at("dcg.toggles.IntAlu"), 0.0);
+    EXPECT_EQ(r[1].extraStats.at("dcg.toggles.IntAlu"), 0.0);
+}
+
+TEST(EngineGrouping, RunOneRacingAFusedRunSimulatesTheSharedKeyOnce)
+{
+    // A fused run() and a runOne() race for gzip/dcg while a second,
+    // overlapping fused run() races for gzip/base. Every key must be
+    // simulated exactly once, and claim-publish-wait must keep the
+    // overlapping items from waiting on each other.
+    const std::vector<Job> fusedA = {smallJob("gzip", "base"),
+                                     smallJob("gzip", "dcg"),
+                                     smallJob("gzip", "ddcg")};
+    const std::vector<Job> fusedB = {smallJob("gzip", "cgooo"),
+                                     smallJob("gzip", "base")};
+    const Job single = smallJob("gzip", "dcg");
+
+    Engine reference(1);
+    const RunResult want = reference.runOne(single);
+
+    for (int round = 0; round < 8; ++round) {
+        Engine engine(2);
+        std::vector<RunResult> a, b;
+        RunResult one;
+        std::atomic<int> ready{0};
+        auto start = [&] {
+            ++ready;
+            while (ready.load() < 3) {
+            }
+        };
+        std::thread ta([&] { start(); a = engine.run(fusedA); });
+        std::thread tb([&] { start(); b = engine.run(fusedB); });
+        std::thread tc([&] { start(); one = engine.runOne(single); });
+        ta.join();
+        tb.join();
+        tc.join();
+
+        // Four distinct keys; the other two requests are hits.
+        EXPECT_EQ(engine.simulations(), 4u);
+        EXPECT_EQ(engine.cacheHits(), 2u);
+        EXPECT_GE(engine.timingRuns(), 2u);
+        EXPECT_LE(engine.timingRuns(), 3u);  // one per caller
+        expectBitIdentical(a[1], want);
+        expectBitIdentical(one, want);
+        expectBitIdentical(a[0], b[1]);
+    }
 }
 
 TEST(Engine, ClearCacheResetsByteAccounting)

@@ -25,6 +25,7 @@
 #include "serve/ring.hh"
 #include "sim/report.hh"
 #include "serve/replica_cluster.hh"
+#include "trace/spec2000.hh"
 
 using namespace dcg;
 using namespace dcg::serve;
@@ -70,6 +71,36 @@ runLocally(const std::vector<JobSpec> &specs)
     return engine.run(jobs);
 }
 
+/**
+ * gridSpecs(), widened with ddcg jobs on further benchmarks until at
+ * least one key changes owner from @p oldRing to @p newRing and at
+ * least one keeps it. The rings hash the ephemeral ports this run got,
+ * so a fixed grid occasionally moves nothing.
+ */
+std::vector<JobSpec>
+specsMovingSomeKeys(const HashRing &oldRing, const HashRing &newRing)
+{
+    std::vector<JobSpec> specs = gridSpecs();
+    const auto moves = [&] {
+        std::size_t n = 0;
+        for (const JobSpec &s : specs) {
+            const std::string key = exp::jobKey(s.toJob());
+            n += oldRing.owner(key) != newRing.owner(key);
+        }
+        return n;
+    };
+    for (const std::string &bench : allSpecNames()) {
+        const std::size_t n = moves();
+        if (n > 0 && n < specs.size())
+            break;
+        JobSpec s = specs.front();
+        s.bench = bench;
+        s.scheme = "ddcg";
+        specs.push_back(s);
+    }
+    return specs;
+}
+
 std::vector<RunResult>
 runVia(const std::vector<Endpoint> &eps,
        const std::vector<JobSpec> &specs, unsigned replicas = 1)
@@ -85,13 +116,8 @@ TEST(Membership, JoinMovesOnlyRemappedArcs)
 {
     ReplicaCluster cluster(2, 1, "join_arcs");
     cluster.start();
-    const std::vector<JobSpec> specs = gridSpecs();
-
-    const std::string viaOld =
-        asJson(runVia(cluster.boundEndpoints(), specs));
-    const std::uint64_t simsBefore = cluster.sumStat("simulations");
-    EXPECT_EQ(simsBefore, specs.size());
-
+    // The joining node is bound (not yet a member) up front, so the
+    // grid can be picked from the rings this run actually got.
     const std::size_t j = cluster.addStandaloneNode("join_arcs_new");
 
     // The ring predicts exactly which arcs a third member remaps.
@@ -99,6 +125,14 @@ TEST(Membership, JoinMovesOnlyRemappedArcs)
         {cluster.address(0), cluster.address(1)});
     const HashRing newRing({cluster.address(0), cluster.address(1),
                             cluster.address(j)});
+    const std::vector<JobSpec> specs =
+        specsMovingSomeKeys(oldRing, newRing);
+
+    const std::string viaOld =
+        asJson(runVia({cluster.endpoint(0), cluster.endpoint(1)}, specs));
+    const std::uint64_t simsBefore = cluster.sumStat("simulations");
+    EXPECT_EQ(simsBefore, specs.size());
+
     std::uint64_t expectedMoves = 0;
     for (const JobSpec &s : specs) {
         const std::string key = exp::jobKey(s.toJob());

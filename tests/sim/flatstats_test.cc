@@ -135,11 +135,10 @@ TEST(FlatStats, SimulatorResultFoldsThroughTheFullStack)
     Simulator sim(profileByName("mcf"), cfg);
     sim.run(8000, 2000);
     const RunResult r = sim.result();  // folds as a side effect
-    expectReconciled(sim.stats(), sim.core());
-    EXPECT_EQ(static_cast<double>(r.cycles),
-              sim.stats().lookup("core.cycles"));
+    expectReconciled(sim.timingStats(), sim.core());
+    EXPECT_EQ(static_cast<double>(r.cycles), sim.stat("core.cycles"));
     EXPECT_EQ(static_cast<double>(r.instructions),
-              sim.stats().lookup("core.committed"));
+              sim.stat("core.committed"));
 }
 
 } // namespace

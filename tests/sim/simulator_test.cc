@@ -91,6 +91,28 @@ TEST(Simulator, DumpStatsProducesRegistryText)
     EXPECT_NE(os.str().find("power.total_energy_pj"), std::string::npos);
 }
 
+TEST(Simulator, LanesMustAgreeInEveryTimingField)
+{
+    SimConfig other_seed = table1Config("dcg");
+    other_seed.seed = 2;
+    SimConfig other_core = table1Config("dcg");
+    other_core.core.windowSize = 64;
+    SimConfig other_tech = table1Config("dcg");
+    other_tech.tech.vdd *= 0.9;  // power only: may share a timing run
+
+    EXPECT_TRUE(sameTiming(table1Config("base"), other_tech));
+    for (const SimConfig &c : {other_seed, other_core}) {
+        EXPECT_FALSE(sameTiming(table1Config("base"), c));
+        const std::vector<SimConfig> lanes = {table1Config("base"), c};
+        EXPECT_EXIT(Simulator(profileByName("gzip"), lanes),
+                    ::testing::ExitedWithCode(1), "timing field");
+    }
+    Simulator fused(profileByName("gzip"),
+                    std::vector<SimConfig>{table1Config("base"),
+                                           other_tech});
+    EXPECT_EQ(fused.lanes(), 2u);
+}
+
 TEST(Presets, Table1ConfigMatchesPaper)
 {
     const SimConfig cfg = table1Config();

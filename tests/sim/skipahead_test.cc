@@ -102,7 +102,7 @@ runOnce(const Profile &prof, const std::string &scheme, bool skip)
 
     RunOutput out;
     out.result = sim.result();
-    out.skippedCycles = sim.stats().lookup("core.skipped_cycles");
+    out.skippedCycles = sim.stat("core.skipped_cycles");
 
     std::ostringstream os;
     sim.dumpStats(os);

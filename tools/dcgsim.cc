@@ -82,6 +82,7 @@ printSummary(std::size_t jobs, const exp::Engine &engine)
     s.set("simulations",
           serve::JsonValue::integer(engine.simulations()));
     s.set("source", serve::JsonValue::string("local"));
+    s.set("timing_runs", serve::JsonValue::integer(engine.timingRuns()));
     serve::JsonValue o = serve::JsonValue::object();
     o.set("dcgsim_summary", std::move(s));
     std::cerr << o.dump() << '\n';
