@@ -31,16 +31,15 @@
 
 #include "branch/predictor.hh"
 #include "cache/hierarchy.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/options.hh"
 #include "pipeline/core.hh"
-#include "serve/json.hh"
 #include "sim/presets.hh"
 #include "sim/simulator.hh"
 #include "trace/spec2000.hh"
 
 using namespace dcg;
-using serve::JsonValue;
 
 namespace {
 

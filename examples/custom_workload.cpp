@@ -69,7 +69,7 @@ main(int argc, char **argv)
     //        with no code change ("base" sorts first, so results[0]
     //        stays the denominator).
     std::vector<exp::Job> jobs;
-    for (const std::string &s : gating::schemeNames())
+    for (const std::string &s : gating::schemes().names())
         jobs.push_back(exp::makeJob(db, table1Config(s), insts, warmup));
 
     exp::Engine engine;

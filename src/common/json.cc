@@ -1,12 +1,13 @@
-#include "serve/json.hh"
+#include "common/json.hh"
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 
-namespace dcg::serve {
+namespace dcg {
 
 namespace {
 
@@ -261,6 +262,10 @@ class Parser
         const double d = std::strtod(tok.c_str(), &end);
         if (end != tok.c_str() + tok.size())
             return fail("malformed number '" + tok + "'");
+        // ERANGE also flags subnormal results, which are exact and
+        // must parse; only an overflow to infinity loses the value.
+        if (errno == ERANGE && std::isinf(d))
+            return fail("number '" + tok + "' overflows a double");
         out = JsonValue::number(d);
         out.setRawToken(tok);
         return true;
@@ -360,16 +365,24 @@ JsonValue::asNumber(double def) const
 std::uint64_t
 JsonValue::asU64(std::uint64_t def) const
 {
+    std::uint64_t v = 0;
+    return toU64(v) ? v : def;
+}
+
+bool
+JsonValue::toU64(std::uint64_t &out) const
+{
     if (!isNumber())
-        return def;
+        return false;
     const std::string tok = numRaw.empty() ? dump() : numRaw;
     errno = 0;
     char *end = nullptr;
     const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
     if (end == tok.c_str() || *end != '\0' || errno == ERANGE ||
         tok[0] == '-')
-        return def;
-    return v;
+        return false;
+    out = v;
+    return true;
 }
 
 std::int64_t
@@ -548,4 +561,4 @@ JsonValue::parse(const std::string &text, JsonValue &out,
     return p.parseDocument(out);
 }
 
-} // namespace dcg::serve
+} // namespace dcg

@@ -275,9 +275,8 @@ Engine::run(const std::vector<Job> &jobs)
     std::vector<std::vector<std::size_t>> items;
     std::map<std::string, std::size_t> itemOf;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const gating::SchemeInfo *info =
-            gating::findScheme(jobs[i].config.scheme);
-        if (!info || !info->timingNeutral) {
+        const auto *entry = gating::schemes().find(jobs[i].config.scheme);
+        if (!entry || !entry->info.timingNeutral) {
             items.push_back({i});
             continue;
         }

@@ -15,9 +15,9 @@ requestedSchemes(const GridRequest &req)
 {
     std::vector<std::string> schemes{"base"};
     for (const std::string &s : req.schemes) {
-        if (!gating::isScheme(s))
+        if (!gating::schemes().find(s))
             fatal("grid request names unknown scheme '", s,
-                  "' (expected ", gating::schemeNamesJoined(), ")");
+                  "' (expected ", gating::schemes().joined(), ")");
         if (std::find(schemes.begin(), schemes.end(), s) ==
             schemes.end())
             schemes.push_back(s);

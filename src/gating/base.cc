@@ -13,7 +13,7 @@ namespace dcg::gating {
 
 namespace {
 
-const bool registered = registerScheme(
+const bool registered = schemes().add(
     {"base",
      "baseline, nothing clock-gated (paper Sec 5.1 denominator)",
      {},

@@ -79,7 +79,7 @@ CgoooController::skipIdle(Core &core, std::uint64_t cycles,
 namespace gating {
 namespace {
 
-const bool registered = registerScheme(
+const bool registered = schemes().add(
     {"cgooo",
      "coarse-grain OoO gating (Mohammadi et al., arXiv 1606.01607):"
      " block-granular issue-queue clock and wakeup-broadcast gating",

@@ -13,7 +13,7 @@ namespace dcg {
 namespace gating {
 namespace {
 
-const bool registered = registerScheme(
+const bool registered = schemes().add(
     {"dcg",
      "deterministic clock gating (this paper, HPCA 2003): FU, latch,"
      " D-cache decoder and result-bus gating from piped GRANT signals",

@@ -75,7 +75,7 @@ DdcgController::skipIdle(Core &core, std::uint64_t cycles,
 namespace gating {
 namespace {
 
-const bool registered = registerScheme(
+const bool registered = schemes().add(
     {"ddcg",
      "data-driven clock gating (Sarkar et al., arXiv 1806.02271):"
      " per-latch next-state==state comparators, all pipeline phases",

@@ -23,7 +23,7 @@ const std::vector<SchemeKnob> plbKnobs = {
      "2"},
 };
 
-const bool registeredOrig = registerScheme(
+const bool registeredOrig = schemes().add(
     {"plb-orig",
      "pipeline balancing (Bahar & Manne [1]): low-power issue modes"
      " gating disabled FUs and an issue-queue slice",
@@ -34,7 +34,7 @@ const bool registeredOrig = registerScheme(
         return std::make_unique<PlbController>(cfg.core, pc, stats);
     });
 
-const bool registeredExt = registerScheme(
+const bool registeredExt = schemes().add(
     {"plb-ext",
      "extended pipeline balancing (paper Sec 4.3): plb-orig plus"
      " latch, D-cache port and result-bus gating",

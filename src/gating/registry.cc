@@ -1,15 +1,12 @@
 #include "gating/registry.hh"
 
-#include <map>
-#include <utility>
-
 #include "common/log.hh"
 #include "sim/simulator.hh"
 
 namespace dcg::gating {
 
 // Anchors defined in the scheme translation units (see registry.hh:
-// they force the self-registration statics out of the static archive).
+// they keep the self-registration statics in the binary).
 void anchorBaseSchemeRegistration();
 void anchorDcgSchemeRegistration();
 void anchorPlbSchemeRegistration();
@@ -18,22 +15,8 @@ void anchorCgoooSchemeRegistration();
 
 namespace {
 
-struct SchemeEntry
-{
-    SchemeInfo info;
-    SchemeFactory factory;
-};
-
-/** Function-local static: safe against static-init ordering. */
-std::map<std::string, SchemeEntry> &
-table()
-{
-    static std::map<std::string, SchemeEntry> entries;
-    return entries;
-}
-
 void
-ensureBuiltins()
+builtins()
 {
     anchorBaseSchemeRegistration();
     anchorDcgSchemeRegistration();
@@ -44,80 +27,22 @@ ensureBuiltins()
 
 } // namespace
 
-bool
-registerScheme(SchemeInfo info, SchemeFactory factory)
+Registry<SchemeInfo, SchemeFactory> &
+schemes()
 {
-    if (info.name.empty())
-        fatal("registerScheme: empty scheme name");
-    if (!factory)
-        fatal("registerScheme('", info.name, "'): null factory");
-    const std::string name = info.name;
-    const auto [it, inserted] = table().emplace(
-        name, SchemeEntry{std::move(info), std::move(factory)});
-    (void)it;
-    if (!inserted)
-        fatal("registerScheme: duplicate scheme '", name, "'");
-    return true;
-}
-
-std::vector<SchemeInfo>
-schemeCatalog()
-{
-    ensureBuiltins();
-    std::vector<SchemeInfo> catalog;
-    catalog.reserve(table().size());
-    for (const auto &[name, entry] : table())
-        catalog.push_back(entry.info);
-    return catalog;
-}
-
-std::vector<std::string>
-schemeNames()
-{
-    ensureBuiltins();
-    std::vector<std::string> names;
-    names.reserve(table().size());
-    for (const auto &[name, entry] : table())
-        names.push_back(name);
-    return names;
-}
-
-std::string
-schemeNamesJoined(char sep)
-{
-    std::string joined;
-    for (const std::string &name : schemeNames()) {
-        if (!joined.empty())
-            joined += sep;
-        joined += name;
-    }
-    return joined;
-}
-
-bool
-isScheme(const std::string &name)
-{
-    ensureBuiltins();
-    return table().count(name) != 0;
-}
-
-const SchemeInfo *
-findScheme(const std::string &name)
-{
-    ensureBuiltins();
-    const auto it = table().find(name);
-    return it == table().end() ? nullptr : &it->second.info;
+    static Registry<SchemeInfo, SchemeFactory> registry("scheme",
+                                                        &builtins);
+    return registry;
 }
 
 std::unique_ptr<GatingPolicy>
 makePolicy(const SimConfig &config, StatRegistry &stats)
 {
-    ensureBuiltins();
-    const auto it = table().find(config.scheme);
-    if (it == table().end())
+    const auto *entry = schemes().find(config.scheme);
+    if (!entry)
         fatal("unknown gating scheme '", config.scheme, "' (expected ",
-              schemeNamesJoined(), ")");
-    return it->second.factory(config, stats);
+              schemes().joined(), ")");
+    return entry->fn(config, stats);
 }
 
 } // namespace dcg::gating

@@ -1,6 +1,6 @@
 /**
  * @file
- * String-keyed gating-scheme registry.
+ * The gating-scheme registry.
  *
  * A scheme is one file and one registration: the scheme's translation
  * unit self-registers a SchemeInfo (name, one-line description with
@@ -9,13 +9,13 @@
  * schemes — dcgsim (--scheme validation, --list-schemes, usage text),
  * the figure/ablation drivers, exp::Grid expansion, JobSpec/GridSpec
  * validation on the wire, and the report layer's results schema — goes
- * through this catalog, so adding a scheme never touches a switch
- * statement again (mirroring how statRegistryCatalog already catalogs
- * stats).
+ * through schemes(), so adding a scheme never touches a switch
+ * statement.
  *
- * Registration pattern (in the scheme's .cc):
+ * Registration pattern (in the scheme's .cc; the table, its lookups
+ * and its refusals are common/registry.hh's):
  *
- *     namespace { const bool registered = gating::registerScheme(
+ *     namespace { const bool registered = schemes().add(
  *         {"myscheme", "what it gates (Paper et al.)",
  *          {{"knob", "what it does", "default"}},
  *          false},  // timingNeutral; see SchemeInfo
@@ -25,10 +25,8 @@
  *         }); }
  *     void anchorMySchemeRegistration() {}
  *
- * The anchor is the static-archive escape hatch: a TU whose only
- * definitions are self-registration statics is dropped by the linker,
- * so registry.cc calls every scheme's anchor before answering lookups
- * (ensureBuiltins), forcing the registration objects into the binary.
+ * registry.cc's builtins hook calls every scheme's anchor, which keeps
+ * the registration objects in a statically linked binary.
  *
  * The factory signature takes SimConfig by forward declaration only:
  * scheme implementations include sim/simulator.hh for the definition
@@ -43,6 +41,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "common/registry.hh"
 
 namespace dcg {
 
@@ -82,33 +82,13 @@ struct SchemeInfo
 using SchemeFactory = std::function<std::unique_ptr<GatingPolicy>(
     const SimConfig &, StatRegistry &)>;
 
-/**
- * Register a scheme. Returns true (the value exists so a namespace-
- * scope `const bool` can run the registration at static-init time).
- * Duplicate names are a fatal() — two files claiming one scheme is a
- * build error, not a runtime preference.
- */
-bool registerScheme(SchemeInfo info, SchemeFactory factory);
-
-/** All registered schemes, sorted by name. */
-std::vector<SchemeInfo> schemeCatalog();
-
-/** Registered scheme names, sorted. */
-std::vector<std::string> schemeNames();
-
-/** Names joined for error/usage text, e.g. "base|cgooo|dcg|...". */
-std::string schemeNamesJoined(char sep = '|');
-
-/** True when @p name is a registered scheme. */
-bool isScheme(const std::string &name);
-
-/** Catalog entry for @p name, or nullptr. */
-const SchemeInfo *findScheme(const std::string &name);
+/** The scheme registry; lookups run the builtins anchors first. */
+Registry<SchemeInfo, SchemeFactory> &schemes();
 
 /**
  * Build the gating policy for @p config's scheme string; fatal() on an
- * unregistered name (callers with non-fatal needs validate first via
- * isScheme — JobSpec::validate does).
+ * unregistered name (callers with non-fatal needs look the name up in
+ * schemes() first — JobSpec::validate does).
  */
 std::unique_ptr<GatingPolicy> makePolicy(const SimConfig &config,
                                          StatRegistry &stats);

@@ -149,7 +149,7 @@ checkActivityCounters(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {"activity-counter",
      "every CycleActivity field is written by the pipeline and read "
      "by the power/gating layers",

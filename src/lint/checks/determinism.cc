@@ -157,7 +157,7 @@ checkDeterminism(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {"determinism",
      "no wall-clock, ambient-randomness or unordered-iteration "
      "hazards in the replayable core (src/{sim,pipeline,gating,"

@@ -54,7 +54,7 @@ checkNakedNew(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {"naked-new",
      "no raw new/delete expressions; use make_unique/make_shared or "
      "a container",

@@ -130,7 +130,7 @@ checkNetIo(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {"net-io",
      "raw socket calls are routed through the net::*Retry wrappers "
      "in src/serve/netio.hh",

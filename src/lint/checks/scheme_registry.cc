@@ -1,11 +1,12 @@
 /**
  * @file
- * scheme-registry: every registerScheme({"name", ... site in
+ * scheme-registry: every schemes().add({"name", ... site in
  * src/gating/ must have its backticked name in the gating-scheme
  * table in EXPERIMENTS.md — schemes must be documented to exist.
  */
 
 #include <cctype>
+#include <cstring>
 
 #include "lint/context.hh"
 #include "lint/lexer.hh"
@@ -25,7 +26,7 @@ struct SchemeRegistration
 };
 
 /**
- * Find registerScheme({"name", ... registration sites in @p text
+ * Find schemes().add({"name", ... registration sites in @p text
  * (comments stripped, strings kept). The scheme name is the first
  * string literal of the braced SchemeInfo initializer; declarations
  * and calls without a literal-named initializer are skipped.
@@ -35,36 +36,34 @@ collectSchemeRegistrations(const std::string &text,
                            const std::string &file,
                            std::vector<SchemeRegistration> &out)
 {
-    const std::string word = "registerScheme";
+    const std::string word = "schemes";
     std::size_t pos = 0;
     while ((pos = text.find(word, pos)) != std::string::npos) {
         const std::size_t start = pos;
         pos += word.size();
         if (start > 0 && isIdentChar(text[start - 1]))
             continue;
-        std::size_t j = start + word.size();
-        auto skipWs = [&] {
+        // The tokens after the accessor name, whitespace allowed
+        // between them; the last one opens the name literal.
+        std::size_t j = pos;
+        bool matched = true;
+        for (const char *tok : {"(", ")", ".", "add", "(", "{", "\""}) {
             while (j < text.size() &&
                    std::isspace(static_cast<unsigned char>(text[j])))
                 ++j;
-        };
-        skipWs();
-        if (j >= text.size() || text[j] != '(')
+            if (text.compare(j, std::strlen(tok), tok) != 0) {
+                matched = false;
+                break;
+            }
+            j += std::strlen(tok);
+        }
+        if (!matched)
             continue;
-        ++j;
-        skipWs();
-        if (j >= text.size() || text[j] != '{')
-            continue;
-        ++j;
-        skipWs();
-        if (j >= text.size() || text[j] != '"')
-            continue;
-        const std::size_t name_start = j + 1;
-        const std::size_t name_end = text.find('"', name_start);
+        const std::size_t name_end = text.find('"', j);
         if (name_end == std::string::npos)
             continue;
-        out.push_back({text.substr(name_start, name_end - name_start),
-                       file, lineOfOffset(text, start)});
+        out.push_back({text.substr(j, name_end - j), file,
+                       lineOfOffset(text, start)});
     }
 }
 
@@ -92,7 +91,7 @@ checkSchemeRegistry(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {"scheme-registry",
      "every registered gating scheme is documented in the "
      "EXPERIMENTS.md scheme table",

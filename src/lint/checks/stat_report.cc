@@ -92,7 +92,7 @@ checkStatsReported(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {"stat-report",
      "every literal-named stat registration appears in the report "
      "catalog in src/sim/report.cc",

@@ -130,7 +130,7 @@ checkSyscallReturns(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {"syscall-return",
      "fallible POSIX calls in src/serve/ and tools/ do not discard "
      "their return value",

@@ -549,7 +549,7 @@ checkThreadOwnership(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {kCheck,
      "serve-layer thread-ownership contract: no any-thread calls "
      "into owner-thread-only methods, no guarded-member access "

@@ -127,7 +127,7 @@ checkTickPathStats(const Context &ctx)
     return out;
 }
 
-const bool registered = registerCheck(
+const bool registered = checks().add(
     {"tick-path-stats",
      "per-cycle functions in src/{pipeline,gating,power,sim} never "
      "call stat registry accessors; stats accumulate flat and fold at "

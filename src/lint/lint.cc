@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hh"
 #include "lint/context.hh"
 #include "lint/registry.hh"
 
@@ -29,43 +30,6 @@ sortDiagnostics(std::vector<Diagnostic> &diags)
                       return a.check < b.check;
                   return a.message < b.message;
               });
-}
-
-/** JSON string-body escaping (quotes added by the caller). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /**
@@ -105,15 +69,15 @@ runChecks(const LintOptions &opts)
     // surface as config diagnostics instead of silently passing.
     std::vector<std::string> selected;
     if (opts.checks.empty()) {
-        selected = checkNames();
+        selected = checks().names();
     } else {
         for (const std::string &name : opts.checks) {
-            if (isCheck(name)) {
+            if (checks().find(name)) {
                 selected.push_back(name);
             } else {
                 all.push_back({"", 0, "config",
                                "unknown check '" + name +
-                                   "' (known: " + checkNamesJoined() +
+                                   "' (known: " + checks().joined() +
                                    ")"});
             }
         }
@@ -129,10 +93,10 @@ runChecks(const LintOptions &opts)
     }
 
     for (const std::string &name : selected) {
-        const CheckInfo *info = findCheck(name);
-        if (!ctx.anchorsOk(info->anchors, name, all))
+        const auto *check = checks().find(name);
+        if (!ctx.anchorsOk(check->info.anchors, name, all))
             continue;  // missing anchor: skip (config diag if required)
-        std::vector<Diagnostic> d = checkFn(name)(ctx);
+        std::vector<Diagnostic> d = check->fn(ctx);
         for (Diagnostic &diag : d) {
             if (!ctx.allowMarked(diag.file, diag.line, diag.check))
                 all.push_back(std::move(diag));
@@ -174,10 +138,11 @@ toJson(const std::vector<Diagnostic> &diags)
     os << "{\n  \"findings\": [";
     for (std::size_t i = 0; i < diags.size(); ++i) {
         const Diagnostic &d = diags[i];
-        os << (i ? "," : "") << "\n    {\"file\": \""
-           << jsonEscape(d.file) << "\", \"line\": " << d.line
-           << ", \"check\": \"" << jsonEscape(d.check)
-           << "\", \"message\": \"" << jsonEscape(d.message) << "\"}";
+        os << (i ? "," : "") << "\n    {\"file\": "
+           << JsonValue::encodeString(d.file) << ", \"line\": " << d.line
+           << ", \"check\": " << JsonValue::encodeString(d.check)
+           << ", \"message\": " << JsonValue::encodeString(d.message)
+           << "}";
     }
     if (!diags.empty())
         os << "\n  ";
@@ -203,12 +168,13 @@ toSarif(const std::vector<Diagnostic> &diags)
     // so every result's ruleId resolves.
     bool first = true;
     auto rule = [&](const std::string &id, const std::string &desc) {
-        os << (first ? "" : ",") << "\n            {\"id\": \""
-           << jsonEscape(id) << "\", \"shortDescription\": {\"text\": \""
-           << jsonEscape(desc) << "\"}}";
+        os << (first ? "" : ",") << "\n            {\"id\": "
+           << JsonValue::encodeString(id)
+           << ", \"shortDescription\": {\"text\": "
+           << JsonValue::encodeString(desc) << "}}";
         first = false;
     };
-    for (const CheckInfo &info : checkCatalog())
+    for (const CheckInfo &info : checks().catalog())
         rule(info.name, info.description);
     rule("config", "dcglint configuration error");
     os << "\n          ]\n"
@@ -218,14 +184,14 @@ toSarif(const std::vector<Diagnostic> &diags)
     for (std::size_t i = 0; i < diags.size(); ++i) {
         const Diagnostic &d = diags[i];
         os << (i ? "," : "") << "\n        {\n"
-           << "          \"ruleId\": \"" << jsonEscape(d.check)
-           << "\",\n"
+           << "          \"ruleId\": " << JsonValue::encodeString(d.check)
+           << ",\n"
            << "          \"level\": \"error\",\n"
-           << "          \"message\": {\"text\": \""
-           << jsonEscape(d.message) << "\"},\n"
+           << "          \"message\": {\"text\": "
+           << JsonValue::encodeString(d.message) << "},\n"
            << "          \"locations\": [{\"physicalLocation\": "
-              "{\"artifactLocation\": {\"uri\": \""
-           << jsonEscape(d.file) << "\"}";
+              "{\"artifactLocation\": {\"uri\": "
+           << JsonValue::encodeString(d.file) << "}";
         if (d.line > 0)
             os << ", \"region\": {\"startLine\": " << d.line << "}";
         os << "}}]\n        }";
@@ -246,9 +212,9 @@ runDcglint(const LintOptions &opts, std::ostream &out)
         return 2;
     }
     for (const std::string &name : opts.checks) {
-        if (!isCheck(name)) {
+        if (!checks().find(name)) {
             out << "dcglint: unknown check '" << name
-                << "' (known: " << checkNamesJoined() << ")\n";
+                << "' (known: " << checks().joined() << ")\n";
             return 2;
         }
     }

@@ -61,7 +61,7 @@ struct LintOptions
 {
     std::string root = ".";      ///< project root to lint
     bool requireAnchors = false; ///< missing anchor file = config error
-    /** Empty = all checks; else names from registry checkNames(). */
+    /** Empty = all checks; else names from checks().names(). */
     std::vector<std::string> checks;
     /** Empty = report everything; else only findings in these
      *  root-relative files (config errors always surface). The

@@ -1,16 +1,9 @@
 #include "lint/registry.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <utility>
-
 namespace dcg::lint {
 
 // Anchors defined in the check translation units (see registry.hh:
-// they force the self-registration statics out of the static
-// archive). dcg_lint deliberately links nothing else, so this cannot
-// use common/log.hh's fatal().
+// they keep the self-registration statics in the binary).
 void anchorActivityCounterCheckRegistration();
 void anchorStatReportCheckRegistration();
 void anchorSchemeRegistryCheckRegistration();
@@ -23,22 +16,8 @@ void anchorTickPathStatsCheckRegistration();
 
 namespace {
 
-struct CheckEntry
-{
-    CheckInfo info;
-    CheckFn fn;
-};
-
-/** Function-local static: safe against static-init ordering. */
-std::map<std::string, CheckEntry> &
-table()
-{
-    static std::map<std::string, CheckEntry> entries;
-    return entries;
-}
-
 void
-ensureBuiltins()
+builtins()
 {
     anchorActivityCounterCheckRegistration();
     anchorStatReportCheckRegistration();
@@ -51,87 +30,13 @@ ensureBuiltins()
     anchorTickPathStatsCheckRegistration();
 }
 
-[[noreturn]] void
-registrationError(const char *what, const std::string &name)
-{
-    std::fprintf(stderr, "dcglint: registerCheck: %s '%s'\n", what,
-                 name.c_str());
-    std::abort();
-}
-
 } // namespace
 
-bool
-registerCheck(CheckInfo info, CheckFn fn)
+Registry<CheckInfo, CheckFn> &
+checks()
 {
-    if (info.name.empty())
-        registrationError("empty check name", info.name);
-    if (!fn)
-        registrationError("null check function for", info.name);
-    const std::string name = info.name;
-    const auto [it, inserted] = table().emplace(
-        name, CheckEntry{std::move(info), std::move(fn)});
-    (void)it;
-    if (!inserted)
-        registrationError("duplicate check", name);
-    return true;
-}
-
-std::vector<CheckInfo>
-checkCatalog()
-{
-    ensureBuiltins();
-    std::vector<CheckInfo> catalog;
-    catalog.reserve(table().size());
-    for (const auto &[name, entry] : table())
-        catalog.push_back(entry.info);
-    return catalog;
-}
-
-std::vector<std::string>
-checkNames()
-{
-    ensureBuiltins();
-    std::vector<std::string> names;
-    names.reserve(table().size());
-    for (const auto &[name, entry] : table())
-        names.push_back(name);
-    return names;
-}
-
-std::string
-checkNamesJoined(char sep)
-{
-    std::string joined;
-    for (const std::string &name : checkNames()) {
-        if (!joined.empty())
-            joined += sep;
-        joined += name;
-    }
-    return joined;
-}
-
-bool
-isCheck(const std::string &name)
-{
-    ensureBuiltins();
-    return table().count(name) != 0;
-}
-
-const CheckInfo *
-findCheck(const std::string &name)
-{
-    ensureBuiltins();
-    const auto it = table().find(name);
-    return it == table().end() ? nullptr : &it->second.info;
-}
-
-CheckFn
-checkFn(const std::string &name)
-{
-    ensureBuiltins();
-    const auto it = table().find(name);
-    return it == table().end() ? CheckFn() : it->second.fn;
+    static Registry<CheckInfo, CheckFn> registry("check", &builtins);
+    return registry;
 }
 
 } // namespace dcg::lint

@@ -1,6 +1,6 @@
 /**
  * @file
- * String-keyed lint-check registry.
+ * The dcglint check registry.
  *
  * A check is one translation unit and one registration: the check's
  * .cc self-registers a CheckInfo (name, one-line description, the
@@ -9,23 +9,19 @@
  * enumerates or selects checks — dcglint (--check validation,
  * --list-checks, usage text), runChecks(), the registry ctest, the
  * SARIF rule table and the ANALYSIS.md check table — goes through
- * this catalog, so adding a check never touches a hard-wired list
- * again (the same pattern src/gating/registry.hh proved out for
- * gating schemes).
+ * checks(), so adding a check never touches a hard-wired list.
  *
- * Registration pattern (in the check's .cc under src/lint/checks/):
+ * Registration pattern (in the check's .cc under src/lint/checks/;
+ * the table, its lookups and its refusals are common/registry.hh's):
  *
- *     namespace { const bool registered = lint::registerCheck(
+ *     namespace { const bool registered = checks().add(
  *         {"my-check", "what invariant it enforces",
  *          {"src/path/anchor.hh"}},
  *         &checkMyInvariant); }
  *     void anchorMyCheckRegistration() {}
  *
- * The anchor function is the static-archive escape hatch: a TU whose
- * only definitions are self-registration statics is dropped by the
- * linker, so registry.cc calls every check's anchor before answering
- * lookups (ensureBuiltins), forcing the registration objects into
- * the binary.
+ * registry.cc's builtins hook calls every check's anchor, which keeps
+ * the registration objects in a statically linked binary.
  *
  * CheckInfo::anchors lists the real files the check's invariant is
  * keyed on. The driver resolves them before running the check: a
@@ -41,6 +37,8 @@
 #include <functional>
 #include <string>
 #include <vector>
+
+#include "common/registry.hh"
 
 namespace dcg::lint {
 
@@ -61,31 +59,8 @@ struct CheckInfo
 using CheckFn =
     std::function<std::vector<Diagnostic>(const Context &)>;
 
-/**
- * Register a check. Returns true (the value exists so a namespace-
- * scope `const bool` can run the registration at static-init time).
- * Duplicate or empty names abort — two files claiming one check is a
- * build error, not a runtime preference.
- */
-bool registerCheck(CheckInfo info, CheckFn fn);
-
-/** All registered checks, sorted by name. */
-std::vector<CheckInfo> checkCatalog();
-
-/** Registered check names, sorted. */
-std::vector<std::string> checkNames();
-
-/** Names joined for error/usage text, e.g. "activity-counter|...". */
-std::string checkNamesJoined(char sep = '|');
-
-/** True when @p name is a registered check. */
-bool isCheck(const std::string &name);
-
-/** Catalog entry for @p name, or nullptr. */
-const CheckInfo *findCheck(const std::string &name);
-
-/** The check function for @p name, or an empty function. */
-CheckFn checkFn(const std::string &name);
+/** The check registry; lookups run the builtins anchors first. */
+Registry<CheckInfo, CheckFn> &checks();
 
 } // namespace dcg::lint
 

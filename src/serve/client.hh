@@ -46,8 +46,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "serve/endpoint.hh"
-#include "serve/json.hh"
 #include "serve/peerlink.hh"
 #include "serve/protocol.hh"
 #include "serve/ring.hh"

@@ -1,16 +1,16 @@
 /**
  * @file
- * String-keyed op-handler registry for the dcgserved wire protocol.
+ * The op-handler registry for the dcgserved wire protocol.
  *
  * Every protocol verb ("submit", "stats", "join", ...) is one OpInfo
- * plus a handler, registered from server.cc exactly the way gating
- * schemes (src/gating/registry.hh) and lint checks
- * (src/lint/registry.hh) self-register: the server's dispatch loop
- * looks the verb up here instead of walking an `op ==` if/else chain,
- * an unknown verb gets a structured error naming the whole catalog
- * (the same UX as `--scheme`/`--check`), and the catalog itself is a
- * first-class part of the protocol surface — the `stats` response
- * lists it so clients can discover what a server speaks.
+ * plus a handler in ops(), registered from server.cc through the same
+ * common/registry.hh template as gating schemes and lint checks: the
+ * server's dispatch loop looks the verb up here instead of walking an
+ * `op ==` if/else chain, an unknown verb gets a structured error
+ * naming the whole catalog (the same UX as `--scheme`/`--check`), and
+ * the catalog itself is a first-class part of the protocol surface —
+ * the `stats` response lists it so clients can discover what a server
+ * speaks.
  *
  * An OpInfo names the verb and whether it is an *admin* verb
  * (operator surface — mutates the service rather than submitting
@@ -30,9 +30,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
-#include "serve/json.hh"
+#include "common/json.hh"
+#include "common/registry.hh"
 
 namespace dcg::serve {
 
@@ -58,29 +58,11 @@ struct OpCall
 using OpHandler = std::function<void(Server &, OpCall &)>;
 
 /**
- * Register a verb. Returns true (so a namespace-scope `const bool`
- * can run the registration). Duplicate names are fatal(): two
- * handlers claiming one verb is a build error, not a preference.
+ * The op registry. Its builtins hook is registerServerOps() (in
+ * server.cc: the handlers need private Server access), which
+ * registers every verb through add() on the first lookup.
  */
-bool registerOp(OpInfo info, OpHandler handler);
-
-/** All registered verbs, sorted by name. */
-std::vector<OpInfo> opCatalog();
-
-/** Registered verb names, sorted. */
-std::vector<std::string> opNames();
-
-/** Names joined for error text, e.g. "compact|fetch|join|...". */
-std::string opNamesJoined(char sep = '|');
-
-/** True when @p name is a registered verb. */
-bool isOp(const std::string &name);
-
-/** Catalog entry for @p name, or nullptr. */
-const OpInfo *findOp(const std::string &name);
-
-/** Handler for @p name, or nullptr. */
-const OpHandler *findOpHandler(const std::string &name);
+Registry<OpInfo, OpHandler> &ops();
 
 /** The catalog as a JSON array (name/admin/description)
  *  — the `ops` member of the stats response. */

@@ -48,9 +48,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/thread_annotations.hh"
 #include "serve/endpoint.hh"
-#include "serve/json.hh"
 
 namespace dcg::serve {
 

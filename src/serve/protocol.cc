@@ -1,12 +1,10 @@
 #include "serve/protocol.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/log.hh"
 #include "gating/registry.hh"
 #include "sim/presets.hh"
-#include "sim/report.hh"
 #include "trace/spec2000.hh"
 
 namespace dcg::serve {
@@ -42,9 +40,9 @@ specFieldsToJson(JsonValue &o, unsigned depth, std::uint64_t insts,
 bool
 JobSpec::validate(std::string &err) const
 {
-    if (!gating::isScheme(scheme)) {
+    if (!gating::schemes().find(scheme)) {
         err = "unknown scheme '" + scheme + "' (expected " +
-              gating::schemeNamesJoined() + ")";
+              gating::schemes().joined() + ")";
         return false;
     }
     if (!knownBench(bench)) {
@@ -57,7 +55,7 @@ JobSpec::validate(std::string &err) const
 exp::Job
 JobSpec::toJob() const
 {
-    if (!gating::isScheme(scheme))
+    if (!gating::schemes().find(scheme))
         fatal("JobSpec::toJob on unvalidated scheme '", scheme, "'");
 
     // Mirror dcgsim's local configuration path exactly: this is the
@@ -115,9 +113,9 @@ GridSpec::validate(std::string &err) const
         }
     }
     for (const std::string &name : schemes) {
-        if (!gating::isScheme(name)) {
+        if (!gating::schemes().find(name)) {
             err = "unknown scheme '" + name + "' (expected " +
-                  gating::schemeNamesJoined() + ")";
+                  gating::schemes().joined() + ")";
             return false;
         }
     }
@@ -193,32 +191,6 @@ GridSpec::fromJson(const JsonValue &v, GridSpec &out, std::string &err)
         return false;
     out = std::move(g);
     return true;
-}
-
-JsonValue
-resultsToJson(const std::vector<RunResult> &results)
-{
-    std::ostringstream os;
-    writeResultsJson(results, os);
-    JsonValue v;
-    std::string err;
-    // The writer's output is always parseable; a failure here is a
-    // programming error, not an input error.
-    if (!JsonValue::parse(os.str(), v, err))
-        panic("resultsToJson: writer/parser mismatch: ", err);
-    return v;
-}
-
-bool
-resultsFromJson(const JsonValue &v, std::vector<RunResult> &out,
-                std::string &err)
-{
-    if (!v.isArray()) {
-        err = "results must be a JSON array";
-        return false;
-    }
-    std::istringstream is(v.dump());
-    return tryReadResultsJson(is, out, &err);
 }
 
 JsonValue

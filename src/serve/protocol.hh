@@ -78,8 +78,8 @@
  *
  * Error responses: {"ok":false, "error": "<code>", "detail": "..."};
  * a full queue answers code "busy" plus "retry_after_ms". Done results
- * carry "result": [<RunResult>] — the exact writeResultsJson() array
- * flattened onto one line, numbers forwarded token-for-token. The
+ * carry "result": [<RunResult>] — the resultsToJson() array of
+ * sim/report.hh on one line, numbers forwarded token-for-token. The
  * full verb catalog lives in the op registry (serve/ops.hh) and is
  * echoed on every stats response as "ops".
  */
@@ -91,8 +91,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "exp/job.hh"
-#include "serve/json.hh"
+#include "sim/report.hh"
 
 namespace dcg::serve {
 
@@ -156,17 +157,6 @@ struct GridSpec
     static bool fromJson(const JsonValue &v, GridSpec &out,
                          std::string &err);
 };
-
-/**
- * RunResults as a JSON value: the writeResultsJson() array reparsed
- * with raw number tokens preserved, so embedding it in a response and
- * dump()ing stays bit-exact.
- */
-JsonValue resultsToJson(const std::vector<RunResult> &results);
-
-/** Inverse of resultsToJson(); false + @p err on malformed input. */
-bool resultsFromJson(const JsonValue &v, std::vector<RunResult> &out,
-                     std::string &err);
 
 /// @name Response helpers (shared by server and tests)
 /// @{

@@ -642,11 +642,13 @@ Server::handleLine(Conn &conn, const std::string &line)
         // Registry dispatch: every verb resolves through the op
         // catalog (serve/ops.hh); there is no verb chain.
         const std::string op = req.get("op").asString();
-        handler = findOpHandler(op);
-        if (!handler)
+        const auto *entry = ops().find(op);
+        if (entry)
+            handler = &entry->fn;
+        else
             resp = errorResponse("bad_request",
                                  "unknown op '" + op + "' (expected " +
-                                     opNamesJoined() + ")");
+                                     ops().joined() + ")");
     }
 
     if (handler) {
@@ -668,67 +670,67 @@ void
 registerServerOps()
 {
     static const bool once = [] {
-        registerOp({"submit", false,
-                    "run or fetch simulation jobs (job/jobs/grid)"},
-                   [](Server &s, OpCall &c) {
-                       c.resp =
-                           s.stopFlag.load(std::memory_order_acquire)
-                               ? errorResponse(
-                                     "draining",
-                                     "server is shutting down")
-                               : s.handleSubmit(c);
-                   });
-        registerOp({"status", false, "poll one job's state"},
-                   [](Server &s, OpCall &c) {
-                       c.resp = s.handleStatus(c.req);
-                   });
-        registerOp({"result", false,
-                    "fetch (or wait for) one job's result"},
-                   [](Server &s, OpCall &c) { s.handleResult(c); });
-        registerOp({"stats", false,
-                    "service counters and the op catalog"},
-                   [](Server &s, OpCall &c) {
-                       c.resp = okResponse();
-                       c.resp.set("stats", s.statsJson());
-                   });
-        registerOp({"shutdown", true, "begin graceful drain"},
-                   [](Server &s, OpCall &c) {
-                       c.resp = okResponse();
-                       c.resp.set("status",
-                                  JsonValue::string("draining"));
-                       s.requestStop();
-                   });
-        registerOp({"compact", true,
-                    "garbage-collect the result store"},
-                   [](Server &s, OpCall &c) {
-                       c.resp = s.handleCompact();
-                   });
+        ops().add({"submit", false,
+                   "run or fetch simulation jobs (job/jobs/grid)"},
+                  [](Server &s, OpCall &c) {
+                      c.resp =
+                          s.stopFlag.load(std::memory_order_acquire)
+                              ? errorResponse(
+                                    "draining",
+                                    "server is shutting down")
+                              : s.handleSubmit(c);
+                  });
+        ops().add({"status", false, "poll one job's state"},
+                  [](Server &s, OpCall &c) {
+                      c.resp = s.handleStatus(c.req);
+                  });
+        ops().add({"result", false,
+                   "fetch (or wait for) one job's result"},
+                  [](Server &s, OpCall &c) { s.handleResult(c); });
+        ops().add({"stats", false,
+                   "service counters and the op catalog"},
+                  [](Server &s, OpCall &c) {
+                      c.resp = okResponse();
+                      c.resp.set("stats", s.statsJson());
+                  });
+        ops().add({"shutdown", true, "begin graceful drain"},
+                  [](Server &s, OpCall &c) {
+                      c.resp = okResponse();
+                      c.resp.set("status",
+                                 JsonValue::string("draining"));
+                      s.requestStop();
+                  });
+        ops().add({"compact", true,
+                   "garbage-collect the result store"},
+                  [](Server &s, OpCall &c) {
+                      c.resp = s.handleCompact();
+                  });
         // Accepted even while draining: a late replica or read-repair
         // write is a harmless local put that helps the cluster heal.
-        registerOp({"replicate", false,
-                    "store a replica record (peer-to-peer)"},
-                   [](Server &s, OpCall &c) {
-                       c.resp = s.handleReplicate(c.req);
-                   });
-        registerOp({"fetch", false,
-                    "serve a stored record to a peer"},
-                   [](Server &s, OpCall &c) {
-                       c.resp = s.handleFetch(c.req);
-                   });
-        registerOp({"join", true,
-                    "add a node to the ring (advances the epoch)"},
-                   [](Server &s, OpCall &c) { s.handleJoin(c); });
-        registerOp({"leave", true,
-                    "remove a node from the ring (advances the epoch)"},
-                   [](Server &s, OpCall &c) { s.handleLeave(c); });
-        registerOp({"ring", true,
-                    "current epoch, members and rebalance state"},
-                   [](Server &s, OpCall &c) {
-                       c.resp = s.handleRing();
-                   });
-        registerOp({"epoch", false,
-                    "peer-to-peer epoch announcement"},
-                   [](Server &s, OpCall &c) { s.handleEpoch(c); });
+        ops().add({"replicate", false,
+                   "store a replica record (peer-to-peer)"},
+                  [](Server &s, OpCall &c) {
+                      c.resp = s.handleReplicate(c.req);
+                  });
+        ops().add({"fetch", false,
+                   "serve a stored record to a peer"},
+                  [](Server &s, OpCall &c) {
+                      c.resp = s.handleFetch(c.req);
+                  });
+        ops().add({"join", true,
+                   "add a node to the ring (advances the epoch)"},
+                  [](Server &s, OpCall &c) { s.handleJoin(c); });
+        ops().add({"leave", true,
+                   "remove a node from the ring (advances the epoch)"},
+                  [](Server &s, OpCall &c) { s.handleLeave(c); });
+        ops().add({"ring", true,
+                   "current epoch, members and rebalance state"},
+                  [](Server &s, OpCall &c) {
+                      c.resp = s.handleRing();
+                  });
+        ops().add({"epoch", false,
+                   "peer-to-peer epoch announcement"},
+                  [](Server &s, OpCall &c) { s.handleEpoch(c); });
         return true;
     }();
     (void)once;

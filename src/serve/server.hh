@@ -110,10 +110,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/thread_annotations.hh"
 #include "exp/engine.hh"
 #include "serve/endpoint.hh"
-#include "serve/json.hh"
 #include "serve/ops.hh"
 #include "serve/peerlink.hh"
 #include "serve/protocol.hh"

@@ -8,8 +8,8 @@
 #include <system_error>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/log.hh"
-#include "serve/json.hh"
 #include "sim/report.hh"
 
 namespace fs = std::filesystem;

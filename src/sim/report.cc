@@ -1,13 +1,11 @@
 #include "sim/report.hh"
 
-#include <cctype>
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
 #include "common/log.hh"
 #include "gating/registry.hh"
@@ -17,141 +15,124 @@ namespace dcg {
 
 namespace {
 
-/** Escape a string for JSON output. */
-std::string
-jsonEscape(const std::string &s)
+/** One key of a fixed-key number object, bound to its RunResult field. */
+struct GroupKey
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:   out += c; break;
-        }
-    }
-    return out;
+    const char *key;
+    double RunResult::*field;
+};
+
+constexpr GroupKey kGroupPJ[] = {
+    {"int_units", &RunResult::intUnitsPJ},
+    {"fp_units", &RunResult::fpUnitsPJ},
+    {"latches", &RunResult::latchPJ},
+    {"dcache", &RunResult::dcachePJ},
+    {"result_bus", &RunResult::resultBusPJ},
+};
+
+constexpr GroupKey kUtilization[] = {
+    {"int_units", &RunResult::intUnitUtil},
+    {"fp_units", &RunResult::fpUnitUtil},
+    {"latches", &RunResult::latchUtil},
+    {"dcache_ports", &RunResult::dcachePortUtil},
+    {"result_bus", &RunResult::resultBusUtil},
+};
+
+/** Append without set()'s duplicate scan: the writer's keys are unique. */
+void
+add(JsonValue &o, std::string key, JsonValue v)
+{
+    o.members().emplace_back(std::move(key), std::move(v));
+}
+
+template <std::size_t N>
+JsonValue
+groupToJson(const RunResult &r, const GroupKey (&keys)[N])
+{
+    JsonValue o = JsonValue::object();
+    for (const GroupKey &k : keys)
+        add(o, k.key, JsonValue::number(r.*k.field));
+    return o;
+}
+
+bool
+fail(std::string &err, const std::string &what)
+{
+    err = "result JSON: " + what;
+    return false;
+}
+
+bool
+readString(const JsonValue &v, const std::string &key, std::string &out,
+           std::string &err)
+{
+    if (!v.isString())
+        return fail(err, "'" + key + "' must be a string");
+    out = v.asString();
+    return true;
+}
+
+bool
+readNumber(const JsonValue &v, const std::string &key, double &out,
+           std::string &err)
+{
+    if (!v.isNumber())
+        return fail(err, "'" + key + "' must be a number");
+    out = v.asNumber();
+    return true;
+}
+
+/** Counts take only non-negative integer tokens that fit uint64_t. */
+bool
+readCount(const JsonValue &v, const std::string &key, std::uint64_t &out,
+          std::string &err)
+{
+    if (!v.toU64(out))
+        return fail(err, "'" + key +
+                             "' must be a non-negative 64-bit integer");
+    return true;
 }
 
 /**
- * Raised by JsonParser on malformed input; callers decide whether it
- * is fatal (CLI paths) or a recoverable miss (the serve-layer result
- * store treats a truncated record as absent and re-simulates).
+ * Read a {"name": number, ...} object member by member; @p set stores
+ * one value and returns false for a key it does not know, which is
+ * reported as an unknown @p what.
  */
-struct ResultParseError : std::runtime_error
+template <typename Setter>
+bool
+readNumberObject(const JsonValue &v, const std::string &key,
+                 const char *what, std::string &err, const Setter &set)
 {
-    using std::runtime_error::runtime_error;
-};
+    if (!v.isObject())
+        return fail(err, "'" + key + "' must be an object");
+    for (const auto &[name, value] : v.members()) {
+        if (!value.isNumber())
+            return fail(err, "'" + key + "." + name +
+                                 "' must be a number");
+        if (!set(name, value.asNumber()))
+            return fail(err, std::string("unknown ") + what + " '" +
+                                 name + "'");
+    }
+    return true;
+}
 
-/**
- * Minimal recursive-descent parser for the subset of JSON the writer
- * emits (objects, arrays, strings, numbers, bools). Errors throw
- * ResultParseError: result files are produced by this program, so
- * malformed input means a truncated or foreign file.
- */
-class JsonParser
+template <std::size_t N>
+bool
+readGroup(const JsonValue &v, const std::string &key,
+          const GroupKey (&keys)[N], const char *what, RunResult &r,
+          std::string &err)
 {
-  public:
-    explicit JsonParser(std::istream &stream) : is(stream) {}
-
-    void expect(char c)
-    {
-        skipWs();
-        if (is.get() != c)
-            throw ResultParseError(
-                detail::fold("result JSON: expected '", c, "'"));
-    }
-
-    bool consumeIf(char c)
-    {
-        skipWs();
-        if (is.peek() == c) {
-            is.get();
-            return true;
-        }
-        return false;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        for (int c; (c = is.get()) != '"'; ) {
-            if (c == EOF)
-                throw ResultParseError("result JSON: unterminated string");
-            if (c == '\\') {
-                const int e = is.get();
-                switch (e) {
-                  case '"':  out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case 'n':  out += '\n'; break;
-                  case 't':  out += '\t'; break;
-                  default:
-                    throw ResultParseError(
-                        detail::fold("result JSON: unsupported escape"
-                                     " '\\", static_cast<char>(e), "'"));
+    return readNumberObject(
+        v, key, what, err, [&](const std::string &name, double x) {
+            for (const GroupKey &k : keys) {
+                if (name == k.key) {
+                    r.*k.field = x;
+                    return true;
                 }
-            } else {
-                out += static_cast<char>(c);
             }
-        }
-        return out;
-    }
-
-    double parseNumber()
-    {
-        skipWs();
-        std::string tok;
-        while (true) {
-            const int c = is.peek();
-            if (c == EOF || (!std::isdigit(c) && c != '-' && c != '+' &&
-                             c != '.' && c != 'e' && c != 'E'))
-                break;
-            tok += static_cast<char>(is.get());
-        }
-        if (tok.empty())
-            throw ResultParseError("result JSON: expected a number");
-        try {
-            return std::stod(tok);
-        } catch (const std::exception &) {
-            throw ResultParseError(
-                detail::fold("result JSON: malformed number '", tok,
-                             "'"));
-        }
-    }
-
-    /** Parse {"name": number, ...} into @p store via @p set. */
-    template <typename Setter>
-    void parseNumberObject(const Setter &set)
-    {
-        expect('{');
-        if (consumeIf('}'))
-            return;
-        do {
-            const std::string key = parseString();
-            expect(':');
-            set(key, parseNumber());
-        } while (consumeIf(','));
-        expect('}');
-    }
-
-    void skipWs()
-    {
-        while (std::isspace(is.peek()))
-            is.get();
-    }
-
-    bool atEof()
-    {
-        skipWs();
-        return is.peek() == EOF;
-    }
-
-  private:
-    std::istream &is;
-};
+            return false;
+        });
+}
 
 int
 componentByName(const std::string &name)
@@ -163,76 +144,121 @@ componentByName(const std::string &name)
     return -1;
 }
 
-RunResult
-parseResultObject(JsonParser &p)
+} // namespace
+
+JsonValue
+resultToJson(const RunResult &r)
 {
-    RunResult r;
-    p.expect('{');
-    do {
-        const std::string key = p.parseString();
-        p.expect(':');
-        if (key == "benchmark") {
-            r.benchmark = p.parseString();
-        } else if (key == "scheme") {
-            r.scheme = p.parseString();
-        } else if (key == "instructions") {
-            r.instructions = static_cast<std::uint64_t>(p.parseNumber());
-        } else if (key == "cycles") {
-            r.cycles = static_cast<std::uint64_t>(p.parseNumber());
-        } else if (key == "ipc") {
-            r.ipc = p.parseNumber();
-        } else if (key == "total_energy_pj") {
-            r.totalEnergyPJ = p.parseNumber();
-        } else if (key == "avg_power_w") {
-            r.avgPowerW = p.parseNumber();
-        } else if (key == "energy_per_inst_pj") {
-            p.parseNumber();  // derived; recomputed on demand
-        } else if (key == "branch_accuracy") {
-            r.branchAccuracy = p.parseNumber();
-        } else if (key == "l1d_miss_rate") {
-            r.l1dMissRate = p.parseNumber();
-        } else if (key == "group_pj") {
-            p.parseNumberObject([&](const std::string &k, double v) {
-                if (k == "int_units") r.intUnitsPJ = v;
-                else if (k == "fp_units") r.fpUnitsPJ = v;
-                else if (k == "latches") r.latchPJ = v;
-                else if (k == "dcache") r.dcachePJ = v;
-                else if (k == "result_bus") r.resultBusPJ = v;
-                else throw ResultParseError(detail::fold(
-                    "result JSON: unknown group '", k, "'"));
-            });
-        } else if (key == "utilization") {
-            p.parseNumberObject([&](const std::string &k, double v) {
-                if (k == "int_units") r.intUnitUtil = v;
-                else if (k == "fp_units") r.fpUnitUtil = v;
-                else if (k == "latches") r.latchUtil = v;
-                else if (k == "dcache_ports") r.dcachePortUtil = v;
-                else if (k == "result_bus") r.resultBusUtil = v;
-                else throw ResultParseError(detail::fold(
-                    "result JSON: unknown utilisation '", k, "'"));
-            });
-        } else if (key == "components_pj") {
-            p.parseNumberObject([&](const std::string &k, double v) {
-                const int c = componentByName(k);
-                if (c < 0)
-                    throw ResultParseError(detail::fold(
-                        "result JSON: unknown component '", k, "'"));
-                r.componentPJ[static_cast<unsigned>(c)] = v;
-            });
-        } else if (key == "extra") {
-            p.parseNumberObject([&](const std::string &k, double v) {
-                r.extraStats[k] = v;
-            });
-        } else {
-            throw ResultParseError(detail::fold(
-                "result JSON: unknown field '", key, "'"));
-        }
-    } while (p.consumeIf(','));
-    p.expect('}');
-    return r;
+    JsonValue o = JsonValue::object();
+    add(o, "benchmark", JsonValue::string(r.benchmark));
+    add(o, "scheme", JsonValue::string(r.scheme));
+    add(o, "instructions", JsonValue::integer(r.instructions));
+    add(o, "cycles", JsonValue::integer(r.cycles));
+    add(o, "ipc", JsonValue::number(r.ipc));
+    add(o, "total_energy_pj", JsonValue::number(r.totalEnergyPJ));
+    add(o, "avg_power_w", JsonValue::number(r.avgPowerW));
+    add(o, "energy_per_inst_pj", JsonValue::number(r.energyPerInstPJ()));
+    add(o, "branch_accuracy", JsonValue::number(r.branchAccuracy));
+    add(o, "l1d_miss_rate", JsonValue::number(r.l1dMissRate));
+    add(o, "group_pj", groupToJson(r, kGroupPJ));
+    add(o, "utilization", groupToJson(r, kUtilization));
+    JsonValue components = JsonValue::object();
+    for (unsigned c = 0; c < kNumPowerComponents; ++c)
+        add(components, powerComponentName(static_cast<PowerComponent>(c)),
+            JsonValue::number(r.componentPJ[c]));
+    add(o, "components_pj", std::move(components));
+    if (!r.extraStats.empty()) {
+        JsonValue extra = JsonValue::object();
+        for (const auto &[name, value] : r.extraStats)
+            add(extra, name, JsonValue::number(value));
+        add(o, "extra", std::move(extra));
+    }
+    return o;
 }
 
-} // namespace
+bool
+resultFromJson(const JsonValue &v, RunResult &out, std::string &err)
+{
+    if (!v.isObject())
+        return fail(err, "a result must be an object");
+    RunResult r;
+    for (const auto &[key, value] : v.members()) {
+        bool ok = true;
+        if (key == "benchmark") {
+            ok = readString(value, key, r.benchmark, err);
+        } else if (key == "scheme") {
+            ok = readString(value, key, r.scheme, err);
+        } else if (key == "instructions") {
+            ok = readCount(value, key, r.instructions, err);
+        } else if (key == "cycles") {
+            ok = readCount(value, key, r.cycles, err);
+        } else if (key == "ipc") {
+            ok = readNumber(value, key, r.ipc, err);
+        } else if (key == "total_energy_pj") {
+            ok = readNumber(value, key, r.totalEnergyPJ, err);
+        } else if (key == "avg_power_w") {
+            ok = readNumber(value, key, r.avgPowerW, err);
+        } else if (key == "energy_per_inst_pj") {
+            double derived = 0.0;  // checked, then recomputed on demand
+            ok = readNumber(value, key, derived, err);
+        } else if (key == "branch_accuracy") {
+            ok = readNumber(value, key, r.branchAccuracy, err);
+        } else if (key == "l1d_miss_rate") {
+            ok = readNumber(value, key, r.l1dMissRate, err);
+        } else if (key == "group_pj") {
+            ok = readGroup(value, key, kGroupPJ, "group", r, err);
+        } else if (key == "utilization") {
+            ok = readGroup(value, key, kUtilization, "utilisation", r,
+                           err);
+        } else if (key == "components_pj") {
+            ok = readNumberObject(
+                value, key, "component", err,
+                [&](const std::string &name, double x) {
+                    const int c = componentByName(name);
+                    if (c >= 0)
+                        r.componentPJ[static_cast<unsigned>(c)] = x;
+                    return c >= 0;
+                });
+        } else if (key == "extra") {
+            ok = readNumberObject(value, key, "extra", err,
+                                  [&](const std::string &name, double x) {
+                                      r.extraStats[name] = x;
+                                      return true;
+                                  });
+        } else {
+            return fail(err, "unknown field '" + key + "'");
+        }
+        if (!ok)
+            return false;
+    }
+    out = std::move(r);
+    return true;
+}
+
+JsonValue
+resultsToJson(const std::vector<RunResult> &results)
+{
+    JsonValue arr = JsonValue::array();
+    arr.items().reserve(results.size());
+    for (const RunResult &r : results)
+        arr.push(resultToJson(r));
+    return arr;
+}
+
+bool
+resultsFromJson(const JsonValue &v, std::vector<RunResult> &out,
+                std::string &err)
+{
+    if (!v.isArray())
+        return fail(err, "results must be an array");
+    std::vector<RunResult> results(v.items().size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (!resultFromJson(v.items()[i], results[i], err))
+            return false;
+    }
+    out = std::move(results);
+    return true;
+}
 
 void
 writeResultsCsv(const std::vector<RunResult> &results, std::ostream &os)
@@ -265,50 +291,22 @@ writeResultsCsv(const std::vector<RunResult> &results, std::ostream &os)
 void
 writeResultsJson(const std::vector<RunResult> &results, std::ostream &os)
 {
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << "[\n";
+    // One result per entry: scalar members share its first line, and
+    // each object member starts a line of its own.
+    os << "[\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunResult &r = results[i];
-        os << "  {\"benchmark\": \"" << jsonEscape(r.benchmark)
-           << "\", \"scheme\": \"" << jsonEscape(r.scheme)
-           << "\", \"instructions\": " << r.instructions
-           << ", \"cycles\": " << r.cycles
-           << ", \"ipc\": " << r.ipc
-           << ", \"total_energy_pj\": " << r.totalEnergyPJ
-           << ", \"avg_power_w\": " << r.avgPowerW
-           << ", \"energy_per_inst_pj\": " << r.energyPerInstPJ()
-           << ", \"branch_accuracy\": " << r.branchAccuracy
-           << ", \"l1d_miss_rate\": " << r.l1dMissRate
-           << ",\n   \"group_pj\": {"
-           << "\"int_units\": " << r.intUnitsPJ
-           << ", \"fp_units\": " << r.fpUnitsPJ
-           << ", \"latches\": " << r.latchPJ
-           << ", \"dcache\": " << r.dcachePJ
-           << ", \"result_bus\": " << r.resultBusPJ
-           << "},\n   \"utilization\": {"
-           << "\"int_units\": " << r.intUnitUtil
-           << ", \"fp_units\": " << r.fpUnitUtil
-           << ", \"latches\": " << r.latchUtil
-           << ", \"dcache_ports\": " << r.dcachePortUtil
-           << ", \"result_bus\": " << r.resultBusUtil
-           << "},\n   \"components_pj\": {";
-        for (unsigned c = 0; c < kNumPowerComponents; ++c) {
-            os << (c ? ", " : "") << '"'
-               << powerComponentName(static_cast<PowerComponent>(c))
-               << "\": " << r.componentPJ[c];
+        const JsonValue o = resultToJson(results[i]);
+        std::string line = "  {";
+        bool first = true;
+        for (const auto &[key, value] : o.members()) {
+            if (!first)
+                line += value.isObject() ? ",\n   " : ", ";
+            first = false;
+            line += JsonValue::encodeString(key);
+            line += ": ";
+            line += value.dump();
         }
-        os << '}';
-        if (!r.extraStats.empty()) {
-            os << ",\n   \"extra\": {";
-            bool first = true;
-            for (const auto &[name, value] : r.extraStats) {
-                os << (first ? "" : ", ") << '"' << jsonEscape(name)
-                   << "\": " << value;
-                first = false;
-            }
-            os << '}';
-        }
-        os << "}" << (i + 1 < results.size() ? "," : "") << '\n';
+        os << line << '}' << (i + 1 < results.size() ? "," : "") << '\n';
     }
     os << "]\n";
 }
@@ -317,23 +315,17 @@ bool
 tryReadResultsJson(std::istream &is, std::vector<RunResult> &out,
                    std::string *error)
 {
-    try {
-        JsonParser p(is);
-        std::vector<RunResult> results;
-        p.expect('[');
-        if (!p.consumeIf(']')) {
-            do {
-                results.push_back(parseResultObject(p));
-            } while (p.consumeIf(','));
-            p.expect(']');
-        }
-        out = std::move(results);
+    const std::string text{std::istreambuf_iterator<char>(is),
+                           std::istreambuf_iterator<char>()};
+    JsonValue v;
+    std::string err;
+    if (!JsonValue::parse(text, v, err))
+        err = "result JSON: " + err;
+    else if (resultsFromJson(v, out, err))
         return true;
-    } catch (const std::exception &e) {
-        if (error)
-            *error = e.what();
-        return false;
-    }
+    if (error)
+        *error = err;
+    return false;
 }
 
 std::vector<RunResult>
@@ -359,9 +351,8 @@ writeResultsSchemaJson(std::ostream &os)
     // The scheme enumeration is the live registry catalog, so the
     // schema can never fall behind a newly-registered scheme.
     bool first_scheme = true;
-    for (const std::string &name : gating::schemeNames()) {
-        os << (first_scheme ? "" : ", ") << '"' << jsonEscape(name)
-           << '"';
+    for (const std::string &name : gating::schemes().names()) {
+        os << (first_scheme ? "" : ", ") << JsonValue::encodeString(name);
         first_scheme = false;
     }
     os << "]},\n"

@@ -5,8 +5,11 @@
  * experiment output can feed plotting scripts and downstream tooling
  * without scraping the text tables.
  *
- * The JSON writer emits doubles with max_digits10 precision, so
- * writeResultsJson -> readResultsJson round-trips bit-exactly.
+ * The JSON side is a schema mapping over common/json.hh:
+ * resultToJson() / resultFromJson() hold the one RunResult field list,
+ * and the results files, the result store and the dcgserved wire all
+ * go through them. Doubles are written with max_digits10 precision,
+ * so writeResultsJson -> readResultsJson round-trips bit-exactly.
  */
 
 #ifndef DCG_SIM_REPORT_HH
@@ -16,25 +19,50 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/simulator.hh"
 
 namespace dcg {
+
+/**
+ * One result as a JSON object: headline metrics, grouped component
+ * energies, utilisations, the full per-component breakdown and any
+ * captured extra statistics (the "extra" member only when non-empty).
+ */
+JsonValue resultToJson(const RunResult &r);
+
+/**
+ * Inverse of resultToJson(). False and @p err (prefixed
+ * "result JSON: ") on a wrong-kind value, an unknown field, group or
+ * component key, or an "instructions"/"cycles" value that is not a
+ * non-negative integer fitting uint64_t. Absent fields keep their
+ * RunResult defaults; @p out is untouched on failure.
+ */
+bool resultFromJson(const JsonValue &v, RunResult &out, std::string &err);
+
+/** An array of resultToJson() objects. */
+JsonValue resultsToJson(const std::vector<RunResult> &results);
+
+/** Inverse of resultsToJson(); same errors as resultFromJson(). */
+bool resultsFromJson(const JsonValue &v, std::vector<RunResult> &out,
+                     std::string &err);
 
 /** Column-stable CSV with a header row. */
 void writeResultsCsv(const std::vector<RunResult> &results,
                      std::ostream &os);
 
 /**
- * JSON array of result objects: headline metrics, grouped component
- * energies, utilisations, the full per-component breakdown and any
- * captured extra statistics.
+ * resultsToJson() laid out one result per entry: the scalar members
+ * share the entry's first line, and each object member starts a line
+ * of its own.
  */
 void writeResultsJson(const std::vector<RunResult> &results,
                       std::ostream &os);
 
 /**
- * Parse a JSON array previously produced by writeResultsJson().
- * fatal() on malformed input or unknown component names.
+ * Parse the whole of @p is as a resultsToJson() array; fatal() on
+ * malformed input (see resultFromJson() for what is rejected).
+ * Trailing bytes after the closing bracket are malformed input.
  */
 std::vector<RunResult> readResultsJson(std::istream &is);
 

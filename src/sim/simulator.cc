@@ -28,8 +28,8 @@ Simulator::Simulator(const Profile &profile,
         fatal("Simulator needs at least one scheme lane");
     cfg = lanes.front();
     for (const SimConfig &c : lanes) {
-        const gating::SchemeInfo *info = gating::findScheme(c.scheme);
-        if (lanes.size() > 1 && info && !info->timingNeutral)
+        const auto *entry = gating::schemes().find(c.scheme);
+        if (lanes.size() > 1 && entry && !entry->info.timingNeutral)
             fatal("scheme '", c.scheme, "' is not timing-neutral and"
                   " cannot share a timing run with other lanes");
         if (!sameTiming(c, cfg))

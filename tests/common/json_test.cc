@@ -1,10 +1,12 @@
-/** Tests for the serve-layer JSON value model. */
+/** Tests for the JSON value model. */
 
 #include <gtest/gtest.h>
 
-#include "serve/json.hh"
+#include <limits>
 
-using namespace dcg::serve;
+#include "common/json.hh"
+
+using namespace dcg;
 
 TEST(Json, ParsesScalars)
 {
@@ -99,6 +101,40 @@ TEST(Json, PreservesNumberTokensVerbatim)
     EXPECT_EQ(v.dump(), "[0.10000000000000001, 1.7976931348623157e+308,"
                         " 18446744073709551615, -3]");
     EXPECT_EQ(v.items()[2].asU64(), 18446744073709551615ull);
+}
+
+TEST(Json, RejectsNumbersThatOverflowADouble)
+{
+    JsonValue v;
+    std::string err;
+    for (const char *text : {"1e999", "-1e999", "[1, 2e400]"}) {
+        EXPECT_FALSE(JsonValue::parse(text, v, err)) << text;
+        EXPECT_NE(err.find("overflows"), std::string::npos) << err;
+    }
+    // The largest finite double and the smallest subnormal (which
+    // strtod flags with ERANGE too) still parse, exactly.
+    EXPECT_TRUE(JsonValue::parse("1.7976931348623157e+308", v, err))
+        << err;
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    ASSERT_TRUE(JsonValue::parse(JsonValue::number(tiny).dump(), v, err))
+        << err;
+    EXPECT_EQ(v.asNumber(), tiny);
+}
+
+TEST(Json, StrictU64TakesOnlyNonNegativeIntegerTokens)
+{
+    JsonValue v;
+    std::string err;
+    std::uint64_t n = 0;
+    for (const char *text : {"-5", "3.5", "1e30", "18446744073709551616",
+                             "\"5\"", "null"}) {
+        ASSERT_TRUE(JsonValue::parse(text, v, err)) << text;
+        EXPECT_FALSE(v.toU64(n)) << text;
+        EXPECT_EQ(v.asU64(42), 42u) << text;
+    }
+    ASSERT_TRUE(JsonValue::parse("18446744073709551615", v, err));
+    ASSERT_TRUE(v.toU64(n));
+    EXPECT_EQ(n, 18446744073709551615ull);
 }
 
 TEST(Json, BuildsAndDumpsObjects)

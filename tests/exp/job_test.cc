@@ -73,9 +73,9 @@ TEST(JobKey, EveryRegisteredSchemeGetsItsOwnKey)
     // Checked pairwise over the whole registry so a new scheme cannot
     // collide with an existing one either.
     std::map<std::string, std::string> keys;
-    for (const std::string &scheme : gating::schemeNames())
+    for (const std::string &scheme : gating::schemes().names())
         keys[jobKey(gzipJob(scheme))] = scheme;
-    EXPECT_EQ(keys.size(), gating::schemeNames().size());
+    EXPECT_EQ(keys.size(), gating::schemes().names().size());
 }
 
 TEST(JobKey, SchemeConfigFieldsSeparateKeys)

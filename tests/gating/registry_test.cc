@@ -15,7 +15,7 @@ using namespace dcg::gating;
 
 TEST(Registry, CatalogHoldsAllBuiltinSchemes)
 {
-    const auto names = schemeNames();
+    const auto names = schemes().names();
     for (const char *expected :
          {"base", "cgooo", "dcg", "ddcg", "plb-ext", "plb-orig"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
@@ -29,12 +29,12 @@ TEST(Registry, CatalogIsSortedAndUnique)
 {
     // Deterministic enumeration order is what makes catalog-driven
     // sweeps (custom_workload, the CI scheme matrix) byte-stable.
-    const auto names = schemeNames();
+    const auto names = schemes().names();
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
     const std::set<std::string> unique(names.begin(), names.end());
     EXPECT_EQ(unique.size(), names.size());
 
-    const auto catalog = schemeCatalog();
+    const auto catalog = schemes().catalog();
     ASSERT_EQ(catalog.size(), names.size());
     for (std::size_t i = 0; i < catalog.size(); ++i)
         EXPECT_EQ(catalog[i].name, names[i]);
@@ -42,11 +42,11 @@ TEST(Registry, CatalogIsSortedAndUnique)
 
 TEST(Registry, EveryEntryCarriesDescriptionAndLookups)
 {
-    for (const SchemeInfo &info : schemeCatalog()) {
+    for (const SchemeInfo &info : schemes().catalog()) {
         EXPECT_FALSE(info.description.empty()) << info.name;
-        EXPECT_TRUE(isScheme(info.name));
-        const SchemeInfo *found = findScheme(info.name);
-        ASSERT_NE(found, nullptr) << info.name;
+        const auto *entry = schemes().find(info.name);
+        ASSERT_NE(entry, nullptr) << info.name;
+        const SchemeInfo *found = &entry->info;
         EXPECT_EQ(found->name, info.name);
         EXPECT_EQ(found->knobs.size(), info.knobs.size());
         for (const SchemeKnob &knob : info.knobs) {
@@ -59,30 +59,29 @@ TEST(Registry, EveryEntryCarriesDescriptionAndLookups)
 
 TEST(Registry, UnknownNamesAreRejected)
 {
-    EXPECT_FALSE(isScheme("warp"));
-    EXPECT_FALSE(isScheme(""));
-    EXPECT_FALSE(isScheme("DCG"));  // case-sensitive
-    EXPECT_EQ(findScheme("warp"), nullptr);
+    EXPECT_EQ(schemes().find("warp"), nullptr);
+    EXPECT_EQ(schemes().find(""), nullptr);
+    EXPECT_EQ(schemes().find("DCG"), nullptr);  // case-sensitive
 }
 
 TEST(Registry, JoinedNamesMatchCatalogOrder)
 {
     std::string expected;
-    for (const std::string &name : schemeNames()) {
+    for (const std::string &name : schemes().names()) {
         if (!expected.empty())
             expected += '|';
         expected += name;
     }
-    EXPECT_EQ(schemeNamesJoined(), expected);
+    EXPECT_EQ(schemes().joined(), expected);
 
-    std::string commas = schemeNamesJoined(',');
+    std::string commas = schemes().joined(',');
     EXPECT_NE(commas.find("base,"), std::string::npos);
     EXPECT_EQ(commas.find('|'), std::string::npos);
 }
 
 TEST(Registry, FactoriesBuildPoliciesNamedAfterTheirKey)
 {
-    for (const std::string &name : schemeNames()) {
+    for (const std::string &name : schemes().names()) {
         SimConfig cfg = table1Config(name);
         StatRegistry stats;
         const auto policy = makePolicy(cfg, stats);

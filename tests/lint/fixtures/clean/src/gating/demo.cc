@@ -4,7 +4,7 @@
 
 namespace {
 
-const bool registered = registerScheme(
+const bool registered = schemes().add(
     {"demo", "fixture demonstration scheme", {}},
     nullptr);
 

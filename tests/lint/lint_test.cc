@@ -353,7 +353,7 @@ TEST(Dcglint, SarifOutputHasRuleTableAndResults)
     const std::string doc = out.str();
     EXPECT_NE(doc.find("\"version\": \"2.1.0\""), std::string::npos);
     // Every registered check appears in the rule table.
-    for (const CheckInfo &info : checkCatalog())
+    for (const CheckInfo &info : checks().catalog())
         EXPECT_NE(doc.find("\"id\": \"" + info.name + "\""),
                   std::string::npos)
             << info.name;
@@ -407,7 +407,7 @@ TEST(Dcglint, OnlyFilesFiltersTheReportNotTheAnalysis)
 
 TEST(DcglintRegistry, CatalogIsCompleteAndAnchorsResolve)
 {
-    const std::vector<CheckInfo> catalog = checkCatalog();
+    const std::vector<CheckInfo> catalog = checks().catalog();
     EXPECT_GE(catalog.size(), 9u);
 
     for (const CheckInfo &info : catalog) {
@@ -419,18 +419,17 @@ TEST(DcglintRegistry, CatalogIsCompleteAndAnchorsResolve)
             EXPECT_TRUE(std::filesystem::is_regular_file(p))
                 << info.name << " anchor: " << anchor;
         }
-        EXPECT_TRUE(isCheck(info.name));
-        ASSERT_NE(findCheck(info.name), nullptr);
-        EXPECT_EQ(findCheck(info.name)->description,
-                  info.description);
-        EXPECT_TRUE(static_cast<bool>(checkFn(info.name)));
+        const auto *check = checks().find(info.name);
+        ASSERT_NE(check, nullptr);
+        EXPECT_EQ(check->info.description, info.description);
+        EXPECT_TRUE(static_cast<bool>(check->fn));
     }
 
     // The new deep checks are part of the registered set.
-    EXPECT_TRUE(isCheck("thread-ownership"));
-    EXPECT_TRUE(isCheck("determinism"));
-    EXPECT_FALSE(isCheck("no-such-check"));
-    EXPECT_NE(checkNamesJoined().find("|thread-ownership"),
+    EXPECT_NE(checks().find("thread-ownership"), nullptr);
+    EXPECT_NE(checks().find("determinism"), nullptr);
+    EXPECT_EQ(checks().find("no-such-check"), nullptr);
+    EXPECT_NE(checks().joined().find("|thread-ownership"),
               std::string::npos);
 }
 

@@ -81,24 +81,23 @@ TEST(OpRegistry, CatalogNamesEveryVerb)
     const std::vector<std::string> expected = {
         "compact", "epoch",  "fetch",     "join",  "leave", "replicate",
         "result",  "ring",   "shutdown",  "stats", "status", "submit"};
-    std::vector<std::string> names = opNames();
+    std::vector<std::string> names = ops().names();
     std::sort(names.begin(), names.end());
     EXPECT_EQ(names, expected);
 
-    for (const OpInfo &info : opCatalog()) {
+    for (const OpInfo &info : ops().catalog()) {
         EXPECT_FALSE(info.description.empty()) << info.name;
-        EXPECT_TRUE(isOp(info.name));
-        EXPECT_EQ(findOp(info.name)->adminOnly, info.adminOnly);
+        ASSERT_NE(ops().find(info.name), nullptr) << info.name;
+        EXPECT_EQ(ops().find(info.name)->info.adminOnly, info.adminOnly);
     }
-    EXPECT_FALSE(isOp("no-such-verb"));
-    EXPECT_EQ(findOp("no-such-verb"), nullptr);
+    EXPECT_EQ(ops().find("no-such-verb"), nullptr);
 
     // Admin verbs are flagged as such.
-    EXPECT_TRUE(findOp("shutdown")->adminOnly);
-    EXPECT_TRUE(findOp("join")->adminOnly);
-    EXPECT_TRUE(findOp("leave")->adminOnly);
-    EXPECT_FALSE(findOp("submit")->adminOnly);
-    EXPECT_FALSE(findOp("epoch")->adminOnly);
+    EXPECT_TRUE(ops().find("shutdown")->info.adminOnly);
+    EXPECT_TRUE(ops().find("join")->info.adminOnly);
+    EXPECT_TRUE(ops().find("leave")->info.adminOnly);
+    EXPECT_FALSE(ops().find("submit")->info.adminOnly);
+    EXPECT_FALSE(ops().find("epoch")->info.adminOnly);
 }
 
 TEST(OpRegistry, UnknownOpNamesTheCatalog)
@@ -124,7 +123,7 @@ TEST(OpRegistry, StatsListsTheOps)
     ASSERT_TRUE(resp.get("ok").asBool(false)) << resp.dump();
     const JsonValue &ops = resp.get("stats").get("ops");
     ASSERT_TRUE(ops.isArray());
-    EXPECT_EQ(ops.items().size(), opCatalog().size());
+    EXPECT_EQ(ops.items().size(), serve::ops().catalog().size());
     bool sawJoin = false;
     for (const JsonValue &o : ops.items()) {
         EXPECT_FALSE(o.get("name").asString().empty());

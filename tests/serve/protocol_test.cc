@@ -144,7 +144,7 @@ TEST(Protocol, SchemeValidationTracksRegistry)
 {
     // The wire protocol accepts exactly the registered schemes — a new
     // scheme file is network-reachable with no protocol change.
-    for (const std::string &name : gating::schemeNames()) {
+    for (const std::string &name : gating::schemes().names()) {
         JobSpec s;
         s.bench = "gzip";
         s.scheme = name;
@@ -159,7 +159,7 @@ TEST(Protocol, SchemeValidationTracksRegistry)
     EXPECT_FALSE(bad.validate(err));
     // The rejection names every valid scheme so users can self-serve.
     EXPECT_NE(err.find("unknown scheme 'DCG'"), std::string::npos);
-    for (const std::string &name : gating::schemeNames())
+    for (const std::string &name : gating::schemes().names())
         EXPECT_NE(err.find(name), std::string::npos) << err;
 
     bad.scheme = "";

@@ -2,8 +2,9 @@
  * End-to-end tests for dcgserved's Server + ClusterClient: remote
  * execution bit-identical to a local Engine, the stats surface,
  * backpressure on a full queue, bad-request tolerance (a pathologically
- * nested request line included), warm resubmission, and the
- * cold-restart-from-store acceptance path (0 simulations).
+ * nested request line and an out-of-range replica count included),
+ * warm resubmission, and the cold-restart-from-store acceptance path
+ * (0 simulations).
  */
 
 #include <gtest/gtest.h>
@@ -262,6 +263,37 @@ TEST(Server, DeeplyNestedRequestLineIsRejectedNotFatal)
     ClusterClient client({fx.endpoint()});
     const JsonValue stats = client.stats();
     EXPECT_GE(stats.get("bad_requests").asU64(), 1u);
+}
+
+TEST(Server, ReplicateWithAnOutOfRangeCountIsRejected)
+{
+    ServerConfig cfg;
+    const std::string dir = freshDir("replicate_range");
+    cfg.storeDir = dir;
+    ServerFixture fx(cfg);
+    const auto replicate = [&](const std::string &cycles) {
+        JsonValue resp;
+        std::string err;
+        const std::string reply = rawExchange(
+            fx.get().port(),
+            "{\"op\": \"replicate\", \"key\": \"k1\", \"result\": "
+            "[{\"benchmark\": \"gzip\", \"scheme\": \"dcg\", "
+            "\"cycles\": " + cycles + "}]}\n");
+        EXPECT_TRUE(JsonValue::parse(reply, resp, err)) << err;
+        return resp;
+    };
+
+    // 1e30 cycles is no uint64_t count: refused, and nothing stored.
+    JsonValue resp = replicate("1e30");
+    EXPECT_EQ(resp.get("error").asString(), "bad_request") << resp.dump();
+    ClusterClient client({fx.endpoint()});
+    EXPECT_EQ(client.stats().get("store_records").asU64(), 0u);
+
+    // The same frame with a real count is stored.
+    resp = replicate("5");
+    EXPECT_TRUE(resp.get("ok").asBool(false)) << resp.dump();
+    EXPECT_EQ(client.stats().get("store_records").asU64(), 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Server, ColdRestartServesGridEntirelyFromDisk)

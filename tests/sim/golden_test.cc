@@ -150,7 +150,7 @@ sanitize(const ::testing::TestParamInfo<std::string> &info)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegisteredSchemes, GoldenReport,
-                         ::testing::ValuesIn(gating::schemeNames()),
+                         ::testing::ValuesIn(gating::schemes().names()),
                          sanitize);
 
 /**
@@ -163,7 +163,7 @@ TEST(GoldenCorpus, HasExactlyTheExpectedFiles)
     if (updateGolden)
         GTEST_SKIP() << "corpus being regenerated";
     std::vector<std::string> expected;
-    for (const std::string &scheme : gating::schemeNames())
+    for (const std::string &scheme : gating::schemes().names())
         for (const GoldenCase &c : kCases)
             expected.push_back(fileName(scheme, c));
     std::vector<std::string> present;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -125,8 +126,9 @@ fullSample()
     r.latchUtil = 1.0 / 13.0;
     r.dcachePortUtil = 1.0 / 17.0;
     r.resultBusUtil = 1.0 / 19.0;
+    // The writer's %.17g form of a subnormal must read back exactly.
+    r.l1dMissRate = std::numeric_limits<double>::denorm_min();
     r.branchAccuracy = 0.937;
-    r.l1dMissRate = 0.021;
     r.extraStats["plb.mode_transitions"] = 42.0;
     r.extraStats["dcg.toggles.IntAlu"] = 1.0 / 23.0;
     return r;
@@ -188,6 +190,81 @@ TEST(Report, ReadRejectsMalformedJson)
                 ::testing::ExitedWithCode(1), "result JSON");
 }
 
+namespace {
+
+/** The reader's error for @p text, or "" when it reads. */
+std::string
+readError(const std::string &text)
+{
+    std::istringstream is(text);
+    std::vector<RunResult> out;
+    std::string err;
+    return tryReadResultsJson(is, out, &err) ? "" : err;
+}
+
+/** One result object holding only @p members, in an array. */
+std::string
+oneResult(const std::string &members)
+{
+    return "[{\"benchmark\": \"gzip\", " + members + "}]";
+}
+
+} // namespace
+
+TEST(Report, ReadAcceptsOnlyUint64Counts)
+{
+    for (const char *field : {"instructions", "cycles"}) {
+        const std::string key = std::string("\"") + field + "\": ";
+        // A malformed token, a negative, a fraction, a value past
+        // uint64_t, and a string.
+        for (const char *bad : {"30-2", "-5", "3.5", "1e30",
+                                "18446744073709551616", "\"7\""}) {
+            const std::string text = oneResult(key + bad);
+            EXPECT_EQ(readError(text).rfind("result JSON: ", 0), 0u)
+                << text;
+        }
+        EXPECT_EQ(readError(oneResult(key + "18446744073709551615")), "");
+    }
+}
+
+TEST(Report, ReadRejectsWrongKindsAndUnknownKeys)
+{
+    for (const char *members :
+         {"\"scheme\": 3", "\"ipc\": \"fast\"", "\"ipc\": null",
+          "\"group_pj\": []", "\"group_pj\": {\"latches\": true}",
+          "\"extra\": {\"core.ipc\": \"1\"}", "\"speed\": 1",
+          "\"group_pj\": {\"l3\": 1}",
+          "\"utilization\": {\"dcache\": 1}",
+          "\"components_pj\": {\"warp_drive\": 1}"}) {
+        const std::string text = oneResult(members);
+        EXPECT_EQ(readError(text).rfind("result JSON: ", 0), 0u) << text;
+    }
+    EXPECT_NE(readError("{}").find("result JSON: "), std::string::npos);
+    EXPECT_NE(readError("[1]").find("result JSON: "), std::string::npos);
+}
+
+TEST(Report, ReadRejectsTrailingBytes)
+{
+    std::ostringstream os;
+    writeResultsJson({sample("gzip", "dcg")}, os);
+    EXPECT_EQ(readError(os.str()), "");
+    EXPECT_EQ(readError(os.str() + "x").rfind("result JSON: ", 0), 0u);
+    EXPECT_EQ(readError(os.str() + "[]").rfind("result JSON: ", 0), 0u);
+}
+
+TEST(Report, ReadKeepsDefaultsForAbsentFields)
+{
+    std::istringstream is(oneResult("\"cycles\": 7"));
+    const std::vector<RunResult> out = readResultsJson(is);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].benchmark, "gzip");
+    EXPECT_EQ(out[0].scheme, "");
+    EXPECT_EQ(out[0].cycles, 7u);
+    EXPECT_EQ(out[0].instructions, 0u);
+    EXPECT_EQ(out[0].ipc, 0.0);
+    EXPECT_TRUE(out[0].extraStats.empty());
+}
+
 TEST(Report, SchemaListsAllFieldGroups)
 {
     std::ostringstream os;
@@ -214,7 +291,7 @@ TEST(Report, StatCatalogMatchesRegisteredStats)
     // union of what the schemes actually register, so entries cannot
     // rot when a stat is renamed or removed.
     std::set<std::string> registered;
-    for (const std::string &scheme : gating::schemeNames()) {
+    for (const std::string &scheme : gating::schemes().names()) {
         Simulator sim(profileByName("gzip"), table1Config(scheme));
         std::ostringstream os;
         sim.dumpStats(os);

@@ -40,7 +40,7 @@ runSchemeOnce(const std::string &scheme)
 bool
 timingNeutral(const std::string &scheme)
 {
-    return gating::findScheme(scheme)->timingNeutral;
+    return gating::schemes().find(scheme)->info.timingNeutral;
 }
 
 /** The golden corpus's three presets (tests/sim/golden_test.cc). */
@@ -138,7 +138,7 @@ TEST_P(SchemeSweep, SharesATimingRunOnlyWhenTimingNeutral)
     // along. Each lane must be byte-identical to its solo run: results
     // JSON, merged stats dump and every stat() value, bit for bit.
     std::vector<std::string> schemes = {scheme};
-    for (const std::string &s : gating::schemeNames())
+    for (const std::string &s : gating::schemes().names())
         if (s != scheme && timingNeutral(s))
             schemes.push_back(s);
     ASSERT_GE(schemes.size(), 2u);
@@ -173,7 +173,7 @@ TEST_P(SchemeSweep, SharesATimingRunOnlyWhenTimingNeutral)
 
 INSTANTIATE_TEST_SUITE_P(
     AllRegisteredSchemes, SchemeSweep,
-    ::testing::ValuesIn(gating::schemeNames()),
+    ::testing::ValuesIn(gating::schemes().names()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         // gtest names reject '-': plb-ext -> plb_ext.
         std::string name = info.param;

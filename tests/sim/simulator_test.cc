@@ -48,7 +48,7 @@ TEST(Simulator, EveryRegisteredSchemeInstantiates)
 {
     // The registry catalog is the source of truth: every scheme it
     // lists must build a policy whose name() round-trips the key.
-    const auto names = gating::schemeNames();
+    const auto names = gating::schemes().names();
     ASSERT_GE(names.size(), 6u);
     for (const std::string &s : names) {
         Simulator sim(profileByName("gzip"), table1Config(s));

@@ -160,7 +160,7 @@ sanitize(const ::testing::TestParamInfo<std::string> &info)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegisteredSchemes, SkipAheadEquivalence,
-                         ::testing::ValuesIn(gating::schemeNames()),
+                         ::testing::ValuesIn(gating::schemes().names()),
                          sanitize);
 
 } // namespace

@@ -54,7 +54,7 @@ main(int argc, char **argv)
         std::cout <<
             "dcglint [--root=DIR (default .)]\n"
             "        [--check=name[,name...] (default: all; known: " +
-                dcg::lint::checkNamesJoined() + ")]\n"
+                dcg::lint::checks().joined() + ")]\n"
             "        [--require-anchors (missing anchor file = error)]\n"
             "        [--format=text|json|sarif (default text)]\n"
             "        [--baseline=FILE (suppress known findings)]\n"
@@ -68,7 +68,7 @@ main(int argc, char **argv)
         const bool namesOnly =
             opts.getString("list-checks", "") == "names";
         for (const dcg::lint::CheckInfo &info :
-             dcg::lint::checkCatalog()) {
+             dcg::lint::checks().catalog()) {
             if (namesOnly)
                 std::cout << info.name << '\n';
             else
@@ -89,14 +89,14 @@ main(int argc, char **argv)
         !splitCommaList(opts.getString("check", ""), lopts.checks)) {
         std::cerr << "dcglint: --check needs a non-empty check name "
                      "(known: "
-                  << dcg::lint::checkNamesJoined() << ")\n";
+                  << dcg::lint::checks().joined() << ")\n";
         return 2;
     }
     for (const std::string &name : lopts.checks) {
-        if (!dcg::lint::isCheck(name)) {
+        if (!dcg::lint::checks().find(name)) {
             std::cerr << "dcglint: unknown check '" << name
                       << "' (known: "
-                      << dcg::lint::checkNamesJoined() << ")\n";
+                      << dcg::lint::checks().joined() << ")\n";
             return 2;
         }
     }

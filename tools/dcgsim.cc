@@ -71,19 +71,16 @@ resolveJobsOption(const Options &opts)
 void
 printSummary(std::size_t jobs, const exp::Engine &engine)
 {
-    serve::JsonValue s = serve::JsonValue::object();
-    s.set("jobs", serve::JsonValue::integer(std::uint64_t{jobs}));
-    s.set("cache_hits", serve::JsonValue::integer(engine.cacheHits()));
-    s.set("cache_misses",
-          serve::JsonValue::integer(engine.cacheMisses()));
-    s.set("cache_size",
-          serve::JsonValue::integer(std::uint64_t{engine.cacheSize()}));
-    s.set("disk_hits", serve::JsonValue::integer(engine.diskHits()));
-    s.set("simulations",
-          serve::JsonValue::integer(engine.simulations()));
-    s.set("source", serve::JsonValue::string("local"));
-    s.set("timing_runs", serve::JsonValue::integer(engine.timingRuns()));
-    serve::JsonValue o = serve::JsonValue::object();
+    JsonValue s = JsonValue::object();
+    s.set("jobs", JsonValue::integer(std::uint64_t{jobs}));
+    s.set("cache_hits", JsonValue::integer(engine.cacheHits()));
+    s.set("cache_misses", JsonValue::integer(engine.cacheMisses()));
+    s.set("cache_size", JsonValue::integer(std::uint64_t{engine.cacheSize()}));
+    s.set("disk_hits", JsonValue::integer(engine.diskHits()));
+    s.set("simulations", JsonValue::integer(engine.simulations()));
+    s.set("source", JsonValue::string("local"));
+    s.set("timing_runs", JsonValue::integer(engine.timingRuns()));
+    JsonValue o = JsonValue::object();
     o.set("dcgsim_summary", std::move(s));
     std::cerr << o.dump() << '\n';
 }
@@ -110,22 +107,20 @@ makeServerClient(const Options &opts)
 void
 printServerSummary(std::size_t jobs, serve::ClusterClient &client)
 {
-    serve::JsonValue stats = client.stats();
-    serve::JsonValue s = serve::JsonValue::object();
-    s.set("jobs", serve::JsonValue::integer(std::uint64_t{jobs}));
+    JsonValue stats = client.stats();
+    JsonValue s = JsonValue::object();
+    s.set("jobs", JsonValue::integer(std::uint64_t{jobs}));
     s.set("cache_hits", stats.get("mem_hits"));
     s.set("cache_misses", stats.get("mem_misses"));
     s.set("cache_size", stats.get("cache_entries"));
     s.set("disk_hits", stats.get("disk_hits"));
     s.set("simulations", stats.get("simulations"));
     if (client.failovers() || client.readRepairs()) {
-        s.set("client_failovers",
-              serve::JsonValue::integer(client.failovers()));
-        s.set("client_read_repairs",
-              serve::JsonValue::integer(client.readRepairs()));
+        s.set("client_failovers", JsonValue::integer(client.failovers()));
+        s.set("client_read_repairs", JsonValue::integer(client.readRepairs()));
     }
-    s.set("source", serve::JsonValue::string("server"));
-    serve::JsonValue o = serve::JsonValue::object();
+    s.set("source", JsonValue::string("server"));
+    JsonValue o = JsonValue::object();
     o.set("dcgsim_summary", std::move(s));
     std::cerr << o.dump() << '\n';
 }
@@ -140,11 +135,11 @@ void
 printSchemeCatalog(std::ostream &os, bool names_only)
 {
     if (names_only) {
-        for (const std::string &name : gating::schemeNames())
+        for (const std::string &name : gating::schemes().names())
             os << name << '\n';
         return;
     }
-    for (const gating::SchemeInfo &info : gating::schemeCatalog()) {
+    for (const gating::SchemeInfo &info : gating::schemes().catalog()) {
         os << info.name << "\n  " << info.description << '\n';
         for (const gating::SchemeKnob &knob : info.knobs) {
             os << "    " << knob.name << " (default "
@@ -169,7 +164,7 @@ main(int argc, char **argv)
     if (opts.has("help")) {
         std::cout <<
             "dcgsim --bench=<name|all> [--scheme=" +
-            gating::schemeNamesJoined() + "]\n"
+            gating::schemes().joined() + "]\n"
             "       [--list-schemes[=names] (print the scheme catalog"
             " and exit)]\n"
             "       [--insts=N] [--warmup=N] [--depth=8|20] [--seed=N]\n"
@@ -236,7 +231,7 @@ main(int argc, char **argv)
                   " --server=HOST:PORT[,...] (the node coordinating"
                   " the change)");
         serve::ClusterClient client = makeServerClient(opts);
-        serve::JsonValue resp;
+        JsonValue resp;
         if (opts.has("join"))
             resp = client.join(opts.getString("join", ""));
         else if (opts.has("leave"))
