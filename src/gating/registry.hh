@@ -7,7 +7,7 @@
  * paper provenance, config knobs) plus a factory that builds its
  * GatingPolicy from a SimConfig. Everything that enumerates or selects
  * schemes — dcgsim (--scheme validation, --list-schemes, usage text),
- * the figure/ablation drivers, exp::Grid expansion, JobSpec/GridSpec
+ * the figure/ablation drivers, exp::Grid expansion, JobSpec
  * validation on the wire, and the report layer's results schema — goes
  * through schemes(), so adding a scheme never touches a switch
  * statement.

@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <set>
 
 #include "common/log.hh"
 #include "exp/job.hh"
@@ -444,7 +445,6 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
         JsonValue req = JsonValue::object();
         req.set("op", JsonValue::string("submit"));
         req.set("job", specs[i].toJson());
-        req.set("wait", JsonValue::boolean(true));
 
         p.post(idx, std::move(req),
                [this, bd, &p, launch, i](PeerReply r) {
@@ -607,18 +607,23 @@ ClusterClient::stats()
     if (per.size() == 1)
         return per.front();
 
-    // Aggregate: sum every numeric counter across nodes (max for the
-    // latency high-water mark, drop the per-node mean), and attach
-    // the untouched per-node objects under "nodes".
+    // Aggregate: sum every numeric counter across nodes, take the
+    // maximum of the fields that describe a node rather than count
+    // its work (and of the latency high-water mark), drop the
+    // per-node mean, and attach the untouched per-node objects under
+    // "nodes".
+    static const std::set<std::string> kMaxFields = {
+        "latency_max_us", "protocol_version", "epoch", "cluster_nodes",
+        "replication_factor"};
     JsonValue agg = JsonValue::object();
     for (const auto &[name, v] : per.front().members()) {
         if (!v.isNumber() || name == "latency_mean_us")
             continue;
+        const bool max = kMaxFields.count(name) != 0;
         std::uint64_t acc = 0;
         for (const JsonValue &s : per) {
             const std::uint64_t x = s.get(name).asU64(0);
-            acc = name == "latency_max_us" ? std::max(acc, x)
-                                           : acc + x;
+            acc = max ? std::max(acc, x) : acc + x;
         }
         agg.set(name, JsonValue::integer(acc));
     }

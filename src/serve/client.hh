@@ -9,9 +9,9 @@
  *    newline-JSON protocol. Every failure is reported (bool + error
  *    string), never fatal. An optional timeout bounds connect() and
  *    every recv/send, so a partitioned (blackholed, not merely dead)
- *    peer fails the exchange instead of hanging it. This is the
- *    one-shot transport DirectPeerTransport uses; the client proper
- *    never opens one per exchange.
+ *    peer fails the exchange instead of hanging it. Tools and tests
+ *    use it for one-off exchanges; the client proper never opens one
+ *    per exchange.
  *
  *  - ClusterClient: the client API over a consistent-hash ring of
  *    endpoints (one endpoint is a ring of one), with all traffic
@@ -22,9 +22,10 @@
  *    the ring designates, with up to a window of jobs in flight at
  *    once across all nodes. Busy nodes are retried on their hint;
  *    dead or draining nodes fail the affected jobs over along each
- *    key's ring-successor candidates (resubmitting elsewhere — job
- *    ids are per-node), so a grid survives any single-node loss as
- *    long as a replica can answer. When a failover candidate serves a
+ *    key's ring-successor candidates (resubmitting the same job
+ *    elsewhere — a submit is answered once, with its result, so
+ *    there is nothing to resume), so a grid survives any single-node
+ *    loss as long as a replica can answer. When a failover candidate serves a
  *    result the primary has lost, the record is pushed back to the
  *    primary (`replicate` op): client-driven read-repair. CLI
  *    semantics: an error with no remaining candidate is fatal().
@@ -129,7 +130,10 @@ class ClusterClient
     JsonValue roundTrip(const JsonValue &req,
                         const std::string &routeKey = "");
 
-    /** The server stats surface (aggregated for multi-node setups). */
+    /** The server stats surface. With several endpoints, counters
+     *  are summed across nodes; identity fields (protocol_version,
+     *  epoch, cluster_nodes, replication_factor) and latency_max_us
+     *  take the maximum; the per-node objects sit under "nodes". */
     JsonValue stats();
 
     /**

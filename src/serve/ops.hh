@@ -21,7 +21,8 @@
  * Server (registration happens inside server.cc). A handler either
  * fills OpCall::resp — the dispatch loop stamps version, echoes the
  * rid and writes it — or sets OpCall::deferred after parking the
- * response (submit+wait, result+wait, epoch/join/leave quiesce acks).
+ * response (a submit until its job finishes, epoch/join/leave
+ * quiesce acks).
  */
 
 #ifndef DCG_SERVE_OPS_HH

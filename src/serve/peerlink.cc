@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/log.hh"
-#include "serve/client.hh"
 #include "serve/netio.hh"
 #include "serve/protocol.hh"
 
@@ -645,7 +644,6 @@ PeerPool::shutdown()
         return;
     shutdownDone = true;
     closed_.store(true, std::memory_order_release);
-    running_.store(false, std::memory_order_release);
 
     timers.clear();
     for (std::size_t li = 0; li < links.size(); ++li) {
@@ -710,7 +708,6 @@ LinkLoop::start()
 {
     if (thread.joinable())
         return;
-    pool_->markRunning();
     // Ownership handoff: the spawned thread IS the pool's owner.
     thread = std::thread([this] { loop(); });  // dcglint:allow(thread-ownership)
 }
@@ -756,69 +753,6 @@ LinkLoop::loop()
         pool_->dispatch(fds.data() + 1, fds.size() - 1);
         pool_->runDue();
     }
-}
-
-DirectPeerTransport::DirectPeerTransport(std::vector<Endpoint> peers,
-                                         unsigned timeoutMs)
-    : endpoints(std::move(peers)), timeoutMs(timeoutMs)
-{
-}
-
-bool
-DirectPeerTransport::call(std::size_t idx, const JsonValue &req,
-                          JsonValue &resp, std::string &err)
-{
-    Endpoint ep;
-    {
-        std::lock_guard<std::mutex> lock(epMutex);
-        if (idx >= endpoints.size()) {
-            err = "peer index out of range";
-            return false;
-        }
-        ep = endpoints[idx];
-    }
-    Connection conn;
-    if (!conn.open(ep, err, timeoutMs))
-        return false;
-    return conn.roundTrip(req, resp, err);
-}
-
-void
-DirectPeerTransport::addPeer(const Endpoint &ep)
-{
-    std::lock_guard<std::mutex> lock(epMutex);
-    for (const Endpoint &existing : endpoints)
-        if (existing == ep)
-            return;
-    endpoints.push_back(ep);
-}
-
-PoolPeerTransport::PoolPeerTransport(PeerPool *pool,
-                                     std::vector<Endpoint> peers,
-                                     unsigned timeoutMs)
-    : pool(pool), direct(std::move(peers), timeoutMs)
-{
-}
-
-void
-PoolPeerTransport::addPeer(const Endpoint &ep)
-{
-    direct.addPeer(ep);
-}
-
-bool
-PoolPeerTransport::call(std::size_t idx, const JsonValue &req,
-                        JsonValue &resp, std::string &err)
-{
-    if (pool && pool->isRunning()) {
-        if (pool->callSync(idx, req, resp, err))
-            return true;
-        // A pool-side failure during shutdown still has the one-shot
-        // path available (drain-time replica flushes land this way).
-        if (pool->isRunning())
-            return false;
-    }
-    return direct.call(idx, req, resp, err);
 }
 
 } // namespace dcg::serve

@@ -27,7 +27,11 @@
  * completion callback runs on the owner thread. The owner drives the
  * pool by including appendPollFds() in its poll set, then calling
  * dispatch() and runDue() each iteration with timeoutHintMs() folded
- * into its poll timeout.
+ * into its poll timeout. A callSync() returns only once the owner has
+ * driven its request to completion or shutdown() has failed it, so
+ * blocking callers must only exist while the owner loop runs — in
+ * dcgserved, the workers and the replicator, whose work starts in
+ * run() and whose pushes the drain waits out before shutdown().
  */
 
 #ifndef DCG_SERVE_PEERLINK_HH
@@ -121,7 +125,8 @@ class PeerPool
         DCG_ANY_THREAD;
 
     /** Blocking request from a NON-owner thread: post() + wait.
-     *  False + @p err on transport failure or pool shutdown. */
+     *  False + @p err on transport failure or pool shutdown; fails
+     *  fast once shutdown() has run. */
     bool callSync(std::size_t idx, const JsonValue &req,
                   JsonValue &resp, std::string &err) DCG_ANY_THREAD;
 
@@ -145,17 +150,6 @@ class PeerPool
      *  post()/callSync() fail fast. Idempotent. */
     void shutdown() DCG_OWNER_THREAD;
     /// @}
-
-    /** The owner loop is live between markRunning() and shutdown() —
-     *  callSync() from other threads requires it. */
-    void markRunning() DCG_ANY_THREAD
-    {
-        running_.store(true, std::memory_order_release);
-    }
-    bool isRunning() const DCG_ANY_THREAD
-    {
-        return running_.load(std::memory_order_acquire);
-    }
 
     /** Owner-thread: addPeer() can grow the table concurrently. */
     std::size_t peerCount() const DCG_OWNER_THREAD
@@ -249,7 +243,6 @@ class PeerPool
     mutable std::mutex injectMutex;
     std::vector<Injected> injected DCG_GUARDED_BY(injectMutex);
 
-    std::atomic<bool> running_{false};
     std::atomic<bool> closed_{false};
     bool shutdownDone = false;
 
@@ -287,70 +280,6 @@ class LinkLoop
     std::atomic<bool> stopFlag{false};
     std::unique_ptr<PeerPool> pool_;
     std::thread thread;
-};
-
-/**
- * The peer-exchange seam ReplicatedStore talks through: one blocking
- * request/response with peer @p idx. Lets replication ride the
- * multiplexed links when a server event loop is running, and plain
- * one-shot connections otherwise (unit tests, post-drain flushes).
- */
-class PeerTransport
-{
-  public:
-    virtual ~PeerTransport() = default;
-
-    /** False + @p err on transport failure; protocol-level errors
-     *  come back as parsed {"ok":false,...} responses. */
-    virtual bool call(std::size_t idx, const JsonValue &req,
-                      JsonValue &resp, std::string &err)
-        DCG_ANY_THREAD = 0;
-
-    /** Elastic membership: extend the index space with a new peer.
-     *  Default no-op so transport fakes in tests stay two-liners. */
-    virtual void addPeer(const Endpoint &ep) DCG_ANY_THREAD
-    {
-        (void)ep;
-    }
-};
-
-/** One-shot blocking connections, one per exchange. */
-class DirectPeerTransport : public PeerTransport
-{
-  public:
-    DirectPeerTransport(std::vector<Endpoint> peers,
-                        unsigned timeoutMs);
-    bool call(std::size_t idx, const JsonValue &req, JsonValue &resp,
-              std::string &err) override DCG_ANY_THREAD;
-    void addPeer(const Endpoint &ep) override DCG_ANY_THREAD;
-
-  private:
-    mutable std::mutex epMutex;  ///< addPeer() races call()
-    std::vector<Endpoint> endpoints DCG_GUARDED_BY(epMutex);
-    unsigned timeoutMs;
-};
-
-/**
- * Multiplexed transport: callSync() through @p pool while its owner
- * loop runs, falling back to one-shot connections before run() and
- * after shutdown — so drain-time replica flushes still land.
- */
-class PoolPeerTransport : public PeerTransport
-{
-  public:
-    PoolPeerTransport(PeerPool *pool, std::vector<Endpoint> peers,
-                      unsigned timeoutMs);
-    bool call(std::size_t idx, const JsonValue &req, JsonValue &resp,
-              std::string &err) override DCG_ANY_THREAD;
-
-    /** Extends only the one-shot fallback: the pool itself is grown
-     *  by its owner thread (Server::installEpoch → PeerPool::addPeer),
-     *  never through this any-thread seam. */
-    void addPeer(const Endpoint &ep) override DCG_ANY_THREAD;
-
-  private:
-    PeerPool *pool;
-    DirectPeerTransport direct;
 };
 
 } // namespace dcg::serve

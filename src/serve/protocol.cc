@@ -9,34 +9,6 @@
 
 namespace dcg::serve {
 
-namespace {
-
-bool
-knownBench(const std::string &name)
-{
-    const auto names = allSpecNames();
-    return std::find(names.begin(), names.end(), name) != names.end();
-}
-
-void
-specFieldsToJson(JsonValue &o, unsigned depth, std::uint64_t insts,
-                 std::uint64_t warmup, std::uint64_t seed, bool gateIq,
-                 bool storeDelay, bool roundRobin)
-{
-    o.set("depth", JsonValue::integer(std::uint64_t{depth}));
-    o.set("insts", JsonValue::integer(insts));
-    o.set("warmup", JsonValue::integer(warmup));
-    o.set("seed", JsonValue::integer(seed));
-    if (gateIq)
-        o.set("gate_iq", JsonValue::boolean(true));
-    if (storeDelay)
-        o.set("store_delay", JsonValue::boolean(true));
-    if (roundRobin)
-        o.set("round_robin", JsonValue::boolean(true));
-}
-
-} // namespace
-
 bool
 JobSpec::validate(std::string &err) const
 {
@@ -45,7 +17,9 @@ JobSpec::validate(std::string &err) const
               gating::schemes().joined() + ")";
         return false;
     }
-    if (!knownBench(bench)) {
+    const auto benches = allSpecNames();
+    if (std::find(benches.begin(), benches.end(), bench) ==
+        benches.end()) {
         err = "unknown benchmark '" + bench + "'";
         return false;
     }
@@ -75,8 +49,16 @@ JobSpec::toJson() const
     JsonValue o = JsonValue::object();
     o.set("bench", JsonValue::string(bench));
     o.set("scheme", JsonValue::string(scheme));
-    specFieldsToJson(o, depth, insts, warmup, seed, gateIq, storeDelay,
-                     roundRobin);
+    o.set("depth", JsonValue::integer(std::uint64_t{depth}));
+    o.set("insts", JsonValue::integer(insts));
+    o.set("warmup", JsonValue::integer(warmup));
+    o.set("seed", JsonValue::integer(seed));
+    if (gateIq)
+        o.set("gate_iq", JsonValue::boolean(true));
+    if (storeDelay)
+        o.set("store_delay", JsonValue::boolean(true));
+    if (roundRobin)
+        o.set("round_robin", JsonValue::boolean(true));
     return o;
 }
 
@@ -100,96 +82,6 @@ JobSpec::fromJson(const JsonValue &v, JobSpec &out, std::string &err)
     if (!s.validate(err))
         return false;
     out = std::move(s);
-    return true;
-}
-
-bool
-GridSpec::validate(std::string &err) const
-{
-    for (const std::string &b : benchmarks) {
-        if (!knownBench(b)) {
-            err = "unknown benchmark '" + b + "'";
-            return false;
-        }
-    }
-    for (const std::string &name : schemes) {
-        if (!gating::schemes().find(name)) {
-            err = "unknown scheme '" + name + "' (expected " +
-                  gating::schemes().joined() + ")";
-            return false;
-        }
-    }
-    return true;
-}
-
-std::vector<JobSpec>
-GridSpec::expand() const
-{
-    const std::vector<std::string> benches =
-        benchmarks.empty() ? allSpecNames() : benchmarks;
-    const std::vector<std::string> schms =
-        schemes.empty() ? std::vector<std::string>{"base", "dcg"}
-                        : schemes;
-
-    std::vector<JobSpec> specs;
-    specs.reserve(benches.size() * schms.size());
-    for (const std::string &b : benches) {
-        for (const std::string &s : schms) {
-            JobSpec spec;
-            spec.bench = b;
-            spec.scheme = s;
-            spec.depth = depth;
-            spec.insts = insts;
-            spec.warmup = warmup;
-            spec.seed = seed;
-            spec.gateIq = gateIq;
-            spec.storeDelay = storeDelay;
-            spec.roundRobin = roundRobin;
-            specs.push_back(std::move(spec));
-        }
-    }
-    return specs;
-}
-
-JsonValue
-GridSpec::toJson() const
-{
-    JsonValue o = JsonValue::object();
-    JsonValue benches = JsonValue::array();
-    for (const std::string &b : benchmarks)
-        benches.push(JsonValue::string(b));
-    o.set("benchmarks", std::move(benches));
-    JsonValue schms = JsonValue::array();
-    for (const std::string &s : schemes)
-        schms.push(JsonValue::string(s));
-    o.set("schemes", std::move(schms));
-    specFieldsToJson(o, depth, insts, warmup, seed, gateIq, storeDelay,
-                     roundRobin);
-    return o;
-}
-
-bool
-GridSpec::fromJson(const JsonValue &v, GridSpec &out, std::string &err)
-{
-    if (!v.isObject()) {
-        err = "grid spec must be an object";
-        return false;
-    }
-    GridSpec g;
-    for (const JsonValue &b : v.get("benchmarks").items())
-        g.benchmarks.push_back(b.asString());
-    for (const JsonValue &s : v.get("schemes").items())
-        g.schemes.push_back(s.asString());
-    g.depth = static_cast<unsigned>(v.get("depth").asU64(8));
-    g.insts = v.get("insts").asU64(0);
-    g.warmup = v.get("warmup").asU64(0);
-    g.seed = v.get("seed").asU64(1);
-    g.gateIq = v.get("gate_iq").asBool(false);
-    g.storeDelay = v.get("store_delay").asBool(false);
-    g.roundRobin = v.get("round_robin").asBool(false);
-    if (!g.validate(err))
-        return false;
-    out = std::move(g);
     return true;
 }
 
@@ -287,18 +179,14 @@ fetchRequest(const std::string &key)
     return o;
 }
 
-namespace {
-
 JsonValue
-memberArray(const std::vector<std::string> &members)
+memberListJson(const std::vector<std::string> &members)
 {
     JsonValue arr = JsonValue::array();
     for (const std::string &m : members)
         arr.push(JsonValue::string(m));
     return arr;
 }
-
-} // namespace
 
 JsonValue
 epochRequest(std::uint64_t epoch,
@@ -310,9 +198,9 @@ epochRequest(std::uint64_t epoch,
     JsonValue o = JsonValue::object();
     o.set("op", JsonValue::string("epoch"));
     o.set("epoch", JsonValue::integer(epoch));
-    o.set("members", memberArray(members));
+    o.set("members", memberListJson(members));
     o.set("prev_epoch", JsonValue::integer(prevEpoch));
-    o.set("prev_members", memberArray(prevMembers));
+    o.set("prev_members", memberListJson(prevMembers));
     o.set("replicas", JsonValue::integer(std::uint64_t{replicas}));
     stampVersion(o, kProtocolVersion);
     return o;
@@ -325,7 +213,7 @@ staleEpochResponse(std::uint64_t epoch,
     JsonValue o = errorResponse(
         "stale_epoch", "this node is already on a newer ring epoch");
     o.set("epoch", JsonValue::integer(epoch));
-    o.set("members", memberArray(members));
+    o.set("members", memberListJson(members));
     return o;
 }
 

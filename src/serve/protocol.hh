@@ -10,14 +10,18 @@
  * makes `dcgsim --server` output byte-identical to a local run.
  *
  * Requests ("op" selects the verb):
- *   {"op":"submit", "job": {JobSpec}}            -> {"ok":true,"ids":[N]}
- *   {"op":"submit", "jobs": [{JobSpec}, ...]}    -> {"ok":true,"ids":[...]}
- *   {"op":"submit", "grid": {GridSpec}}          -> {"ok":true,"ids":[...]}
- *   {"op":"status", "id": N}                     -> {"ok":true,"status":...}
- *   {"op":"result", "id": N, "wait": true|false} -> result or status
- *   {"op":"stats"}                               -> {"ok":true,"stats":{..}}
- *   {"op":"compact"}                             -> {"ok":true,"removed":N}
- *   {"op":"shutdown"}                            -> {"ok":true,...}; drains
+ *   {"op":"submit", "job": {JobSpec}}  -> {"ok":true,"result":[RunResult]}
+ *   {"op":"stats"}                     -> {"ok":true,"stats":{...}}
+ *   {"op":"compact"}                   -> {"ok":true,"removed":N,...}
+ *   {"op":"shutdown"}                  -> {"ok":true,"draining":true}
+ * plus the peer verbs (replicate, fetch, epoch) and the membership
+ * verbs (join, leave, ring) described below.
+ *
+ * A submit is answered exactly once, when its job finishes: with the
+ * result, or with a structured error (busy, not_owner,
+ * forward_failed, ...). Nothing a submit creates on the server
+ * outlives that reply. A "wait" member is accepted and ignored — every
+ * submit waits.
  *
  * Versioning: every node and client speaks exactly one protocol
  * version, kProtocolVersion. A request MAY carry "version": N; one
@@ -27,14 +31,11 @@
  * "version": kProtocolVersion.
  *
  * Request ids: a request MAY carry "rid", an opaque id chosen by the
- * sender, and every response echoes it verbatim — including responses
- * parked behind "wait" and every error. That turns one TCP connection
+ * sender, and every response echoes it verbatim — including a submit's
+ * deferred reply and every error. That turns one TCP connection
  * into a pipelined multiplexed link: many requests in flight,
  * responses matched by rid in whatever order jobs finish (see
- * serve/peerlink.hh for the link layer built on this). A single-job
- * submit accepts "wait": true, which defers the response until the
- * job finishes and carries the result (or the structured failure)
- * directly — the form clients and forwarding peers use.
+ * serve/peerlink.hh for the link layer built on this).
  *
  * Clustering: in a sharded deployment a submit for a job key this
  * node does not own is transparently forwarded to the owner.
@@ -98,7 +99,7 @@
 namespace dcg::serve {
 
 /** The one protocol version this build speaks. */
-constexpr unsigned kProtocolVersion = 5;
+constexpr unsigned kProtocolVersion = 6;
 
 /**
  * Extract a request's protocol version: absent = kProtocolVersion.
@@ -134,27 +135,6 @@ struct JobSpec
 
     JsonValue toJson() const;
     static bool fromJson(const JsonValue &v, JobSpec &out,
-                         std::string &err);
-};
-
-/** A (benchmarks x schemes) request, expanded server- or client-side. */
-struct GridSpec
-{
-    std::vector<std::string> benchmarks;  ///< empty = full SPEC set
-    std::vector<std::string> schemes;     ///< empty = {base, dcg}
-    unsigned depth = 8;
-    std::uint64_t insts = 0;
-    std::uint64_t warmup = 0;
-    std::uint64_t seed = 1;
-    bool gateIq = false;
-    bool storeDelay = false;
-    bool roundRobin = false;
-
-    bool validate(std::string &err) const;
-    std::vector<JobSpec> expand() const;
-
-    JsonValue toJson() const;
-    static bool fromJson(const JsonValue &v, GridSpec &out,
                          std::string &err);
 };
 
@@ -203,6 +183,9 @@ JsonValue epochRequest(std::uint64_t epoch,
  *  how peers that disagree resolve to the highest epoch. */
 JsonValue staleEpochResponse(std::uint64_t epoch,
                              const std::vector<std::string> &members);
+
+/** A ring member list as a JSON array of "host:port" strings. */
+JsonValue memberListJson(const std::vector<std::string> &members);
 /// @}
 
 } // namespace dcg::serve

@@ -11,14 +11,11 @@ namespace dcg::serve {
 ReplicatedStore::ReplicatedStore(std::shared_ptr<ResultStore> localStore,
                                  std::size_t selfIndex,
                                  const EpochView &view, unsigned replicas,
-                                 std::shared_ptr<PeerTransport> peerTx)
-    : local(std::move(localStore)), selfIdx(selfIndex),
-      transport(std::move(peerTx))
+                                 PeerPool &peers)
+    : local(std::move(localStore)), selfIdx(selfIndex), pool(peers)
 {
     if (!local)
         fatal("replication: no local store to decorate");
-    if (!transport)
-        fatal("replication: no peer transport");
     setEpochViews(view, EpochView{}, replicas);
     replicator = std::thread([this] { replicatorLoop(); });
 }
@@ -56,7 +53,7 @@ ReplicatedStore::fetchFrom(std::size_t idx, const JsonValue &req,
 {
     JsonValue resp;
     std::string err;
-    if (!transport->call(idx, req, resp, err))
+    if (!pool.callSync(idx, req, resp, err))
         return false;
     if (!resp.get("ok").asBool(false))
         return false;
@@ -201,7 +198,7 @@ ReplicatedStore::pushOne(const Task &t)
     for (std::size_t idx : t.targets) {
         JsonValue resp;
         std::string err;
-        if (transport->call(idx, req, resp, err) &&
+        if (pool.callSync(idx, req, resp, err) &&
             resp.get("ok").asBool(false)) {
             ++pushed;
         } else {

@@ -37,19 +37,22 @@
  * a node serve an arc it just inherited before the background
  * rebalance push has landed the record, which in turn is what makes a
  * live join/leave lose zero work. Holder indices in a view are
- * node-table indices — the same index space the transport is
+ * node-table indices — the same index space the server's PeerPool is
  * addressed by.
  *
- * Peer I/O goes through a PeerTransport seam: the server injects a
- * PoolPeerTransport so pushes and fetches ride the event loop's
- * multiplexed links (or a DirectPeerTransport while it has no pool).
+ * Peer I/O: every push and fetch is a PeerPool::callSync() on the
+ * server's one pool, so it rides the event loop's multiplexed links.
+ * callSync() needs the loop running; the server only starts workers
+ * (the only callers of get()/put()) in run(), waits in its drain for
+ * pendingPushes() to reach 0 while the loop still drives the links,
+ * and shuts the pool down only then — after which any straggler
+ * fails fast and counts as a push failure or a miss.
  *
  * Thread safety: get()/put() may be called from any worker thread;
  * the queue is mutex-guarded and the replicator thread performs all
- * pushes (fetches run on the calling thread — the transport is
- * thread-safe either way). flush() blocks until queued pushes have
- * drained — used by graceful drain and by tests that assert on
- * follower state.
+ * pushes (fetches run on the calling thread). flush() blocks until
+ * queued pushes have been attempted — used at the end of the drain
+ * and by tests that assert on follower state.
  */
 
 #ifndef DCG_SERVE_REPLICATION_HH
@@ -82,13 +85,12 @@ class ReplicatedStore : public exp::ResultStoreBase
      * @param view       the current ring epoch (see setEpochViews())
      * @param replicas   the cluster's configured k; the effective
      *                   factor is clamped to the view's member count
-     * @param transport  peer exchange seam, addressed by node-table
-     *                   index
+     * @param pool       the server's peer links, addressed by
+     *                   node-table index (must outlive this)
      */
     ReplicatedStore(std::shared_ptr<ResultStore> local,
                     std::size_t selfIndex, const EpochView &view,
-                    unsigned replicas,
-                    std::shared_ptr<PeerTransport> transport);
+                    unsigned replicas, PeerPool &pool);
     ~ReplicatedStore() override;
 
     ReplicatedStore(const ReplicatedStore &) = delete;
@@ -192,7 +194,7 @@ class ReplicatedStore : public exp::ResultStoreBase
     std::shared_ptr<ResultStore> local;
     std::size_t selfIdx;
     std::atomic<unsigned> k{1};
-    std::shared_ptr<PeerTransport> transport;
+    PeerPool &pool;
 
     mutable std::mutex viewMutex;
     EpochView curView DCG_GUARDED_BY(viewMutex);

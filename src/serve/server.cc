@@ -37,13 +37,13 @@ constexpr std::size_t kMaxRebalanceInflight = 4;
 constexpr unsigned kMaxForwardOwnerRetries = 200;
 constexpr unsigned kOwnerRetryDelayMs = 50;
 
+/** A submit's success reply: the one result, nothing else. */
 JsonValue
-memberListJson(const std::vector<std::string> &members)
+resultResponse(const RunResult &r)
 {
-    JsonValue arr = JsonValue::array();
-    for (const std::string &m : members)
-        arr.push(JsonValue::string(m));
-    return arr;
+    JsonValue resp = okResponse();
+    resp.set("result", resultsToJson({r}));
+    return resp;
 }
 
 void
@@ -55,17 +55,6 @@ setNonBlocking(int fd)
         // every read/write path already handles short operations.
         warn("dcgserved: cannot set O_NONBLOCK on fd ", fd, ": ",
              std::strerror(errno));
-    }
-}
-
-const char *
-stateName(int state)
-{
-    switch (state) {
-      case 0: return "queued";
-      case 1: return "running";
-      case 3: return "failed";
-      default: return "done";
     }
 }
 
@@ -160,20 +149,34 @@ Server::Server(const ServerConfig &config)
     curEp.ring = HashRing(curEp.members);
     epochReps = std::max(cfg.replicas, 1u);
 
+    if (cfg.peers.empty())
+        buildPeers();
+    else
+        configureCluster(cfg.peers, cfg.self);
+}
+
+void
+Server::buildPeers()
+{
+    // The replication layer calls through the pool: destroy it (which
+    // joins its fan-out thread) before the pool it holds.
+    if (repl) {
+        eng.attachStore(store);
+        repl.reset();
+    }
+    PeerPool::Options po;
+    po.peerTimeoutMs = cfg.peerTimeoutMs;
+    po.wake = [this] { wake(); };
+    pool = std::make_unique<PeerPool>(nodes, std::move(po));
     if (store) {
-        // Decorate with the replication layer even standalone (k=1,
-        // pass-through): a later live join needs its handoff read
-        // path, and the Engine's store pointer cannot be swapped
-        // safely once workers run.
-        peerTransport = std::make_shared<DirectPeerTransport>(
-            nodes, cfg.peerTimeoutMs);
+        // Every store-backed node carries the replication layer, even
+        // standalone (k=1 is a pass-through): a later live join needs
+        // its handoff read path, and the Engine's store pointer cannot
+        // be swapped safely once workers run.
         repl = std::make_shared<ReplicatedStore>(store, selfIdx, curEp,
-                                                 epochReps, peerTransport);
+                                                 epochReps, *pool);
         eng.attachStore(repl);
     }
-
-    if (!cfg.peers.empty())
-        configureCluster(cfg.peers, cfg.self);
 }
 
 void
@@ -212,22 +215,6 @@ Server::configureCluster(const std::vector<Endpoint> &allNodes,
     epochReps = std::max(cfg.replicas, 1u);
 
     replFactor = 1;
-    if (repl) {
-        // Reconfiguring: destroy the old replication layer (joining
-        // its fan-out thread) before the pool it may call through.
-        eng.attachStore(store);
-        repl.reset();
-    }
-    pool.reset();
-    peerTransport.reset();
-    if (clustered) {
-        PeerPool::Options po;
-        po.peerTimeoutMs = cfg.peerTimeoutMs;
-        po.wake = [this] { wake(); };
-        pool = std::make_unique<PeerPool>(nodes, std::move(po));
-        peerTransport = std::make_shared<PoolPeerTransport>(
-            pool.get(), nodes, cfg.peerTimeoutMs);
-    }
     if (cfg.replicas > 1 && clustered) {
         if (!store)
             fatal("dcgserved: replication needs a persistent store "
@@ -241,17 +228,7 @@ Server::configureCluster(const std::vector<Endpoint> &allNodes,
         warn("dcgserved: --replicas=", cfg.replicas,
              " ignored on a single-node cluster");
     }
-    if (store) {
-        // The replication layer wraps every store-backed node (k=1 is
-        // a pass-through): it carries the epoch views the handoff
-        // read path needs when the ring resizes live.
-        if (!peerTransport)
-            peerTransport = std::make_shared<DirectPeerTransport>(
-                nodes, cfg.peerTimeoutMs);
-        repl = std::make_shared<ReplicatedStore>(store, selfIdx, curEp,
-                                                 epochReps, peerTransport);
-        eng.attachStore(repl);
-    }
+    buildPeers();
 
     if (clustered)
         inform("dcgserved: cluster of ", nodes.size(),
@@ -271,8 +248,7 @@ Server::~Server()
     // re-pointed at the plain store so resetting repl really destroys
     // it (and joins its thread) here, not at some later member's
     // destruction after the pool is gone.
-    if (pool)
-        pool->shutdown();
+    pool->shutdown();
     if (repl) {
         eng.attachStore(store);
         repl.reset();
@@ -341,20 +317,13 @@ Server::workerLoop()
             // observe "queue empty, nobody busy" mid-handoff.
             busyWorkers.fetch_add(1, std::memory_order_acq_rel);
         }
-        Event started;
-        started.kind = Event::Kind::Started;
-        started.id = item.id;
-        pushEvent(std::move(started));
-        wake();
-
         // Workers only simulate. Peer exchanges — forwards, failover
         // walks, replica traffic — live on the I/O thread's
         // multiplexed links (stepForward), never here.
         Event done;
-        done.kind = Event::Kind::Done;
-        done.id = item.id;
+        done.to = std::move(item.to);
         done.failovers = item.failovers;
-        done.result = eng.runOne(item.job, &done.outcome);
+        done.result = eng.runOne(item.job);
         if (cfg.cacheBudgetBytes)
             eng.evictTo(cfg.cacheBudgetBytes);
 
@@ -367,7 +336,7 @@ Server::workerLoop()
 bool
 Server::idle()
 {
-    if (inflightForwards != 0 || (pool && !pool->idle()))
+    if (inflightForwards != 0 || !pool->idle())
         return false;
     if (rebal.active || adm.active)
         return false;
@@ -382,6 +351,11 @@ Server::idle()
         if (!events.empty())
             return false;
     }
+    // Only workers queue fan-out pushes, and they are idle: once the
+    // queue is empty it stays empty, and every push has landed over
+    // the links (or failed) before the pool shuts down.
+    if (repl && repl->pendingPushes() != 0)
+        return false;
     for (const auto &[id, c] : conns)
         if (c.fd >= 0 && !c.out.empty())
             return false;
@@ -394,9 +368,6 @@ Server::run()
     workerThreads.reserve(workerCount);
     for (unsigned i = 0; i < workerCount; ++i)
         workerThreads.emplace_back([this] { workerLoop(); });
-    loopRunning = true;
-    if (pool)
-        pool->markRunning();
 
     bool drain_announced = false;
     std::chrono::steady_clock::time_point drain_start{};
@@ -410,13 +381,12 @@ Server::run()
         if (draining && !drain_announced) {
             drain_announced = true;
             drain_start = std::chrono::steady_clock::now();
-            inform("dcgserved: draining (", jobsSubmitted - jobsCompleted,
+            inform("dcgserved: draining (", requestsInflight,
                    " job(s) outstanding)");
         }
 
         drainEvents();
-        if (pool)
-            pool->runDue();
+        pool->runDue();
 
         if (draining) {
             if (idle())
@@ -451,17 +421,13 @@ Server::run()
             fd_conn.push_back(id);
         }
         const std::size_t ownFds = fds.size();
-        if (pool) {
-            pool->appendPollFds(fds);
-            fd_conn.resize(fds.size(), 0);
-        }
+        pool->appendPollFds(fds);
+        fd_conn.resize(fds.size(), 0);
 
         int timeout_ms = draining ? 50 : -1;
-        if (pool) {
-            const int hint = pool->timeoutHintMs();
-            if (hint >= 0 && (timeout_ms < 0 || hint < timeout_ms))
-                timeout_ms = hint;
-        }
+        const int hint = pool->timeoutHintMs();
+        if (hint >= 0 && (timeout_ms < 0 || hint < timeout_ms))
+            timeout_ms = hint;
         const int nready =
             net::pollRetry(fds.data(), static_cast<nfds_t>(fds.size()),
                            timeout_ms);
@@ -494,8 +460,7 @@ Server::run()
                 (fds[i].revents & (POLLERR | POLLNVAL)))
                 closeConn(conn);
         }
-        if (pool)
-            pool->dispatch(fds.data() + ownFds, fds.size() - ownFds);
+        pool->dispatch(fds.data() + ownFds, fds.size() - ownFds);
 
         // Sweep connections closed during this iteration.
         for (auto it = conns.begin(); it != conns.end();) {
@@ -509,10 +474,9 @@ Server::run()
     // Fail any forwards the drain grace abandoned (their finishJob
     // responses land in conn buffers about to close — same fate as
     // any other undelivered output) and unblock every thread parked
-    // in a callSync before the workers are joined below.
-    loopRunning = false;
-    if (pool)
-        pool->shutdown();
+    // in a callSync before the workers are joined below: from here on
+    // every peer exchange fails fast.
+    pool->shutdown();
     drainEvents();
 
     for (auto &[id, c] : conns)
@@ -531,8 +495,10 @@ Server::run()
         t.join();
     workerThreads.clear();
 
-    // Workers are gone, so no new fan-out tasks can appear: give the
-    // replicator a chance to land every queued replica before exit.
+    // Workers are gone, so no new fan-out tasks can appear. A drain
+    // that went idle left none queued; pushes the grace abandoned fail
+    // fast on the shut pool and count as push failures — read-repair
+    // and handoff heal those gaps.
     if (repl)
         repl->flush();
 }
@@ -671,7 +637,8 @@ registerServerOps()
 {
     static const bool once = [] {
         ops().add({"submit", false,
-                   "run or fetch simulation jobs (job/jobs/grid)"},
+                   "run or fetch one simulation job; answered when it "
+                   "finishes"},
                   [](Server &s, OpCall &c) {
                       c.resp =
                           s.stopFlag.load(std::memory_order_acquire)
@@ -680,13 +647,6 @@ registerServerOps()
                                     "server is shutting down")
                               : s.handleSubmit(c);
                   });
-        ops().add({"status", false, "poll one job's state"},
-                  [](Server &s, OpCall &c) {
-                      c.resp = s.handleStatus(c.req);
-                  });
-        ops().add({"result", false,
-                   "fetch (or wait for) one job's result"},
-                  [](Server &s, OpCall &c) { s.handleResult(c); });
         ops().add({"stats", false,
                    "service counters and the op catalog"},
                   [](Server &s, OpCall &c) {
@@ -696,8 +656,7 @@ registerServerOps()
         ops().add({"shutdown", true, "begin graceful drain"},
                   [](Server &s, OpCall &c) {
                       c.resp = okResponse();
-                      c.resp.set("status",
-                                 JsonValue::string("draining"));
+                      c.resp.set("draining", JsonValue::boolean(true));
                       s.requestStop();
                   });
         ops().add({"compact", true,
@@ -740,124 +699,70 @@ JsonValue
 Server::handleSubmit(OpCall &c)
 {
     const JsonValue &req = c.req;
-    std::vector<JobSpec> specs;
+    JobSpec spec;
     std::string err;
-    if (req.has("job")) {
-        JobSpec s;
-        if (!JobSpec::fromJson(req.get("job"), s, err)) {
-            ++badRequests;
-            return errorResponse("bad_request", err);
-        }
-        specs.push_back(std::move(s));
-    } else if (req.has("jobs")) {
-        const JsonValue &arr = req.get("jobs");
-        if (!arr.isArray()) {
-            ++badRequests;
-            return errorResponse("bad_request", "jobs must be an array");
-        }
-        for (const JsonValue &v : arr.items()) {
-            JobSpec s;
-            if (!JobSpec::fromJson(v, s, err)) {
-                ++badRequests;
-                return errorResponse("bad_request", err);
-            }
-            specs.push_back(std::move(s));
-        }
-    } else if (req.has("grid")) {
-        GridSpec g;
-        if (!GridSpec::fromJson(req.get("grid"), g, err)) {
-            ++badRequests;
-            return errorResponse("bad_request", err);
-        }
-        specs = g.expand();
-    } else {
+    if (!req.has("job") || !JobSpec::fromJson(req.get("job"), spec, err)) {
         ++badRequests;
         return errorResponse("bad_request",
-                             "submit needs 'job', 'jobs' or 'grid'");
+                             err.empty() ? "submit needs a 'job'" : err);
     }
-    if (specs.empty()) {
-        ++badRequests;
-        return errorResponse("bad_request", "empty submission");
-    }
+    exp::Job job = spec.toJob();
 
-    // Ring ownership per job. A forwarded submit for a key we do not
-    // own means the peer's ring disagrees with ours: answer not_owner
-    // rather than forwarding again (no loops, ever).
-    const bool forwarded = req.get("forwarded").asBool(false);
-
-    struct Admit
-    {
-        exp::Job job;
-        bool cached = false;
-        RunResult result;
-        bool remote = false;
-        std::vector<std::size_t> holders;
-        JobSpec spec;
-    };
-    std::vector<Admit> admits;
-    admits.reserve(specs.size());
-    std::size_t need_slots = 0;
-    for (JobSpec &s : specs) {
-        Admit a;
-        a.job = s.toJob();
-        if (clustered) {
-            const std::string key = exp::jobKey(a.job);
-            a.holders = curEp.holders(
-                key, std::min<std::size_t>(replFactor,
-                                           curEp.members.size()));
-            a.remote = a.holders.front() != selfIdx;
-            // A forwarded submit is served here whenever this node
-            // holds the key under the *current or previous* epoch:
-            // a replica-marked forward is a failover onto a holder,
-            // and during a membership transition the sender's ring
-            // may lawfully disagree with ours — dual-epoch routing
-            // means no request misses mid-rebalance. A node that
-            // holds under neither epoch still bounces not_owner, so
-            // a genuinely bad ring cannot loop.
-            if (a.remote && forwarded) {
-                bool serve_here =
-                    std::find(a.holders.begin(), a.holders.end(),
-                              selfIdx) != a.holders.end();
-                if (!serve_here && prevEp.valid()) {
-                    const auto ph = prevEp.holders(
-                        key,
-                        std::min<std::size_t>(replFactor,
-                                              prevEp.members.size()));
-                    serve_here = std::find(ph.begin(), ph.end(),
-                                           selfIdx) != ph.end();
-                }
-                if (serve_here)
-                    a.remote = false;
+    // Ring ownership. A forwarded submit for a key we do not own means
+    // the peer's ring disagrees with ours: answer not_owner rather than
+    // forwarding again (no loops, ever).
+    std::vector<std::size_t> holders;
+    bool remote = false;
+    if (clustered) {
+        const std::string key = exp::jobKey(job);
+        holders = curEp.holders(
+            key, std::min<std::size_t>(replFactor, curEp.members.size()));
+        remote = holders.front() != selfIdx;
+        // A forwarded submit is served here whenever this node holds
+        // the key under the *current or previous* epoch: a
+        // replica-marked forward is a failover onto a holder, and
+        // during a membership transition the sender's ring may
+        // lawfully disagree with ours — dual-epoch routing means no
+        // request misses mid-rebalance. A node that holds under
+        // neither epoch still bounces not_owner, so a genuinely bad
+        // ring cannot loop.
+        if (remote && req.get("forwarded").asBool(false)) {
+            bool serve_here = std::find(holders.begin(), holders.end(),
+                                        selfIdx) != holders.end();
+            if (!serve_here && prevEp.valid()) {
+                const auto ph = prevEp.holders(
+                    key, std::min<std::size_t>(replFactor,
+                                               prevEp.members.size()));
+                serve_here = std::find(ph.begin(), ph.end(), selfIdx) !=
+                             ph.end();
             }
-        }
-        if (a.remote) {
-            if (forwarded) {
+            if (!serve_here) {
                 ++notOwnerReplies;
-                return notOwnerResponse(nodes[a.holders.front()].str());
+                return notOwnerResponse(nodes[holders.front()].str());
             }
-            a.spec = std::move(s);
-            ++need_slots;
-        } else {
-            // Peek the warm cache first: satisfied jobs complete
-            // immediately and never occupy a queue slot or worker.
-            a.cached = eng.tryCached(a.job, a.result);
-            if (!a.cached)
-                ++need_slots;
+            remote = false;
         }
-        admits.push_back(std::move(a));
     }
 
-    // Bounded admission: reject the whole submit (all-or-nothing, so
-    // clients never track partial grids) when the queue cannot take
-    // it. In-flight forwards hold no queue slot but count against the
-    // same capacity — peer traffic must feel backpressure too.
+    // Peek the warm cache first: a satisfied job is answered now and
+    // never occupies a queue slot or a worker.
+    RunResult cached;
+    if (!remote && eng.tryCached(job, cached)) {
+        ++jobsSubmitted;
+        ++jobsCompleted;  // zero-latency completion
+        return resultResponse(cached);
+    }
+
+    // Bounded admission. In-flight forwards hold no queue slot but
+    // count against the same capacity — peer traffic must feel
+    // backpressure too.
     std::size_t queue_len;
     {
         std::lock_guard<std::mutex> lk(qMutex);
         queue_len = pending.size();
     }
     queue_len += static_cast<std::size_t>(inflightForwards);
-    if (queue_len + need_slots > cfg.queueCapacity) {
+    if (queue_len >= cfg.queueCapacity) {
         ++submitsRejected;
         JsonValue resp = errorResponse("busy", "job queue is full");
         resp.set("retry_after_ms",
@@ -869,65 +774,32 @@ Server::handleSubmit(OpCall &c)
         return resp;
     }
 
-    const auto now = std::chrono::steady_clock::now();
-    JsonValue ids = JsonValue::array();
-    std::uint64_t soleId = 0;
-    for (Admit &a : admits) {
-        const std::uint64_t id = nextJobId++;
-        soleId = id;
-        JobRec rec;
-        rec.enqueued = now;
-        if (a.cached) {
-            rec.state = JobState::Done;
-            rec.result = std::move(a.result);
-            ++jobsCompleted;  // zero-latency completion
-        }
-        jobs.emplace(id, std::move(rec));
-        ids.push(JsonValue::integer(id));
-        ++jobsSubmitted;
-        if (a.cached)
-            continue;
-        if (a.remote) {
-            // The job leaves on the owner's multiplexed link right
-            // now; its failover walk is a continuation chain stepped
-            // by link completions on this thread.
-            auto fwd = std::make_shared<Forward>();
-            fwd->id = id;
-            fwd->spec = std::move(a.spec);
-            fwd->job = std::move(a.job);
-            fwd->holders = std::move(a.holders);
-            fwd->epoch = curEp.epoch;
-            jobs[id].state = JobState::Running;
-            ++inflightForwards;
-            peakInflightForwards =
-                std::max(peakInflightForwards, inflightForwards);
-            stepForward(fwd);
-        } else {
-            WorkItem item;
-            item.id = id;
-            item.job = std::move(a.job);
-            enqueueLocal(std::move(item));
-        }
+    // Admitted: the reply is deferred until the job finishes, and its
+    // target travels with the job.
+    ++jobsSubmitted;
+    ++requestsInflight;
+    c.deferred = true;
+    if (remote) {
+        // The job leaves on the owner's multiplexed link right now;
+        // its failover walk is a continuation chain stepped by link
+        // completions on this thread.
+        auto fwd = std::make_shared<Forward>();
+        fwd->to = park(c);
+        fwd->spec = std::move(spec);
+        fwd->job = std::move(job);
+        fwd->holders = std::move(holders);
+        fwd->epoch = curEp.epoch;
+        ++inflightForwards;
+        peakInflightForwards =
+            std::max(peakInflightForwards, inflightForwards);
+        stepForward(fwd);
+    } else {
+        WorkItem item;
+        item.to = park(c);
+        item.job = std::move(job);
+        enqueueLocal(std::move(item));
     }
-
-    JsonValue resp = okResponse();
-    if (ids.items().size() == 1)
-        resp.set("id", ids.items().front());
-    resp.set("ids", std::move(ids));
-
-    // Single-job submit+wait: defer the response until the job
-    // finishes (cached jobs are already Done and answer now), parking
-    // on the same waiter list "result"+wait uses.
-    if (req.get("wait").asBool(false) && admits.size() == 1) {
-        auto it = jobs.find(soleId);
-        if (it->second.state == JobState::Done)
-            return doneResponse(soleId, it->second);
-        if (it->second.state == JobState::Failed)
-            return failedResponse(soleId, it->second);
-        it->second.waiters.push_back(park(c));
-        c.deferred = true;
-    }
-    return resp;
+    return JsonValue();
 }
 
 void
@@ -945,7 +817,6 @@ Server::stepForward(const std::shared_ptr<Forward> &fwd)
 {
     if (fwd->pos >= fwd->holders.size()) {
         Event ev;
-        ev.id = fwd->id;
         ev.remote = true;
         ev.failed = true;
         ev.failovers = fwd->holders.empty()
@@ -963,7 +834,7 @@ Server::stepForward(const std::shared_ptr<Forward> &fwd)
         // carries the failovers burned getting to us; the forward
         // slot converts into a queue slot.
         WorkItem item;
-        item.id = fwd->id;
+        item.to = fwd->to;
         item.job = fwd->job;
         item.failovers = static_cast<unsigned>(fwd->pos);
         --inflightForwards;
@@ -977,7 +848,6 @@ Server::stepForward(const std::shared_ptr<Forward> &fwd)
     submit.set("forwarded", JsonValue::boolean(true));
     if (fwd->pos > 0)
         submit.set("replica", JsonValue::boolean(true));
-    submit.set("wait", JsonValue::boolean(true));
     pool->call(idx, std::move(submit),
                [this, fwd](PeerReply reply) {
                    forwardReply(fwd, std::move(reply));
@@ -1009,7 +879,6 @@ Server::forwardReply(const std::shared_ptr<Forward> &fwd,
         if (resultsFromJson(resp.get("result"), one, err) &&
             one.size() == 1) {
             Event ev;
-            ev.id = fwd->id;
             ev.remote = true;
             ev.failovers = static_cast<unsigned>(fwd->pos);
             ev.result = std::move(one.front());
@@ -1079,10 +948,8 @@ void
 Server::deliverForward(const std::shared_ptr<Forward> &fwd, Event ev)
 {
     --inflightForwards;
-    auto it = jobs.find(fwd->id);
-    if (it == jobs.end())
-        return;
-    finishJob(fwd->id, it->second, ev);
+    ev.to = fwd->to;
+    finishJob(ev);
 }
 
 JsonValue
@@ -1133,44 +1000,6 @@ Server::handleFetch(const JsonValue &req)
 }
 
 JsonValue
-Server::handleStatus(const JsonValue &req) const
-{
-    const std::uint64_t id = req.get("id").asU64(0);
-    auto it = jobs.find(id);
-    if (it == jobs.end())
-        return errorResponse("unknown_id", "no such job id");
-    JsonValue resp = okResponse();
-    resp.set("id", JsonValue::integer(id));
-    resp.set("status",
-             JsonValue::string(
-                 stateName(static_cast<int>(it->second.state))));
-    return resp;
-}
-
-void
-Server::handleResult(OpCall &c)
-{
-    const std::uint64_t id = c.req.get("id").asU64(0);
-    auto it = jobs.find(id);
-    if (it == jobs.end()) {
-        c.resp = errorResponse("unknown_id", "no such job id");
-    } else if (it->second.state == JobState::Done) {
-        c.resp = doneResponse(id, it->second);
-    } else if (it->second.state == JobState::Failed) {
-        c.resp = failedResponse(id, it->second);
-    } else if (c.req.get("wait").asBool(false)) {
-        it->second.waiters.push_back(park(c));
-        c.deferred = true;  // answered on completion
-    } else {
-        c.resp = okResponse();
-        c.resp.set("id", JsonValue::integer(id));
-        c.resp.set("status",
-                   JsonValue::string(
-                       stateName(static_cast<int>(it->second.state))));
-    }
-}
-
-JsonValue
 Server::handleCompact()
 {
     if (!store)
@@ -1195,27 +1024,8 @@ Server::nodeIndexOf(const Endpoint &ep)
     // process, so in-flight Forward walks and pool links never see
     // their indices shift underneath them.
     nodes.push_back(ep);
-    if (pool)
-        pool->addPeer(ep);
-    if (peerTransport)
-        peerTransport->addPeer(ep);
+    pool->addPeer(ep);
     return nodes.size() - 1;
-}
-
-void
-Server::ensurePeerInfra()
-{
-    if (pool)
-        return;
-    PeerPool::Options po;
-    po.peerTimeoutMs = cfg.peerTimeoutMs;
-    po.wake = [this] { wake(); };
-    pool = std::make_unique<PeerPool>(nodes, std::move(po));
-    if (loopRunning)
-        pool->markRunning();
-    if (!peerTransport)
-        peerTransport = std::make_shared<PoolPeerTransport>(
-            pool.get(), nodes, cfg.peerTimeoutMs);
 }
 
 void
@@ -1248,8 +1058,6 @@ Server::installEpoch(std::uint64_t epoch,
                   curEp.members.front() == selfAddr);
     replFactor = static_cast<unsigned>(
         std::min<std::size_t>(epochReps, curEp.members.size()));
-    if (clustered)
-        ensurePeerInfra();
     if (repl)
         repl->setEpochViews(curEp, prevEp, epochReps);
     inform("dcgserved: epoch ", curEp.epoch, " installed (",
@@ -1278,7 +1086,7 @@ Server::startRebalance(const EpochView &ownPrev)
     // Only a node that held arcs under its own previous view has
     // records to push, and only a key's old primary pushes — one
     // pusher per key keeps the move at ~1/N of the store, not k/N.
-    if (store && pool && ownPrev.valid() &&
+    if (store && ownPrev.valid() &&
         ownPrev.hasMember(selfAddr)) {
         const std::size_t kPrev = std::min<std::size_t>(
             epochReps, ownPrev.members.size());
@@ -1362,6 +1170,7 @@ Server::park(const OpCall &c)
 {
     ParkedResp p;
     p.connId = c.connId;
+    p.since = std::chrono::steady_clock::now();
     if (c.req.has("rid")) {
         p.hasRid = true;
         p.rid = c.req.get("rid");
@@ -1522,7 +1331,6 @@ Server::handleJoin(OpCall &c)
     std::vector<std::string> newMembers = curEp.members;
     newMembers.push_back(addr);
 
-    ensurePeerInfra();
     const std::size_t jidx = nodeIndexOf(ep);
     // Tell the joiner FIRST: by the time anything routes a request to
     // it, it must know the ring. Its ack doubles as a liveness probe —
@@ -1614,7 +1422,6 @@ Server::handleLeave(OpCall &c)
         if (m != addr)
             newMembers.push_back(m);
 
-    ensurePeerInfra();
     installEpoch(e, newMembers, epochReps);
     adm.localDone = !rebal.active;
     broadcastEpoch(targets);
@@ -1765,25 +1572,6 @@ Server::handleRing() const
     return resp;
 }
 
-JsonValue
-Server::doneResponse(std::uint64_t id, const JobRec &rec) const
-{
-    JsonValue resp = okResponse();
-    resp.set("id", JsonValue::integer(id));
-    resp.set("status", JsonValue::string("done"));
-    resp.set("result", resultsToJson({rec.result}));
-    return resp;
-}
-
-JsonValue
-Server::failedResponse(std::uint64_t id, const JobRec &rec) const
-{
-    JsonValue resp = errorResponse("forward_failed", rec.error);
-    resp.set("id", JsonValue::integer(id));
-    resp.set("status", JsonValue::string("failed"));
-    return resp;
-}
-
 void
 Server::drainEvents()
 {
@@ -1792,49 +1580,36 @@ Server::drainEvents()
         std::lock_guard<std::mutex> lk(evMutex);
         batch.swap(events);
     }
-    for (Event &ev : batch) {
-        auto it = jobs.find(ev.id);
-        if (it == jobs.end())
-            continue;
-        JobRec &rec = it->second;
-        if (ev.kind == Event::Kind::Started) {
-            if (rec.state == JobState::Queued)
-                rec.state = JobState::Running;
-            continue;
-        }
-        finishJob(ev.id, rec, ev);
-    }
+    for (Event &ev : batch)
+        finishJob(ev);
 }
 
 void
-Server::finishJob(std::uint64_t id, JobRec &rec, Event &ev)
+Server::finishJob(Event &ev)
 {
     failoverCount += ev.failovers;
+    JsonValue resp;
     if (ev.failed) {
-        rec.state = JobState::Failed;
-        rec.error = std::move(ev.error);
         ++forwardFailures;
-        warn("dcgserved: job ", id, ": ", rec.error);
+        warn("dcgserved: ", ev.error);
+        resp = errorResponse("forward_failed", ev.error);
     } else {
-        rec.state = JobState::Done;
-        rec.result = std::move(ev.result);
         if (ev.remote)
             ++jobsForwarded;
+        resp = resultResponse(ev.result);
     }
     const auto us =
         std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - rec.enqueued)
+            std::chrono::steady_clock::now() - ev.to.since)
             .count();
     latencySumUs += static_cast<std::uint64_t>(us);
     latencyMaxUs =
         std::max(latencyMaxUs, static_cast<std::uint64_t>(us));
     ++jobsCompleted;
-
-    for (const ParkedResp &w : rec.waiters)
-        respondParked(w, rec.state == JobState::Failed
-                             ? failedResponse(id, rec)
-                             : doneResponse(id, rec));
-    rec.waiters.clear();
+    // Answered (or dropped, if the client went away): nothing of
+    // this request survives the call.
+    --requestsInflight;
+    respondParked(ev.to, std::move(resp));
 }
 
 JsonValue
@@ -1857,6 +1632,7 @@ Server::statsJson() const
           JsonValue::integer(std::uint64_t{conns.size()}));
     s.set("jobs_submitted", JsonValue::integer(jobsSubmitted));
     s.set("jobs_completed", JsonValue::integer(jobsCompleted));
+    s.set("requests_inflight", JsonValue::integer(requestsInflight));
     s.set("jobs_forwarded", JsonValue::integer(jobsForwarded));
     s.set("forward_failures", JsonValue::integer(forwardFailures));
     s.set("not_owner_replies", JsonValue::integer(notOwnerReplies));
@@ -1914,13 +1690,9 @@ Server::statsJson() const
         s.set("rebalance_push_failures",
               JsonValue::integer(rebalPushFailures));
     }
-    if (pool) {
-        s.set("peer_requests", JsonValue::integer(pool->requestsSent()));
-        s.set("peer_link_deaths",
-              JsonValue::integer(pool->linkDeaths()));
-        s.set("peer_reconnects",
-              JsonValue::integer(pool->reconnects()));
-    }
+    s.set("peer_requests", JsonValue::integer(pool->requestsSent()));
+    s.set("peer_link_deaths", JsonValue::integer(pool->linkDeaths()));
+    s.set("peer_reconnects", JsonValue::integer(pool->reconnects()));
     if (repl) {
         s.set("replication_factor",
               JsonValue::integer(std::uint64_t{repl->factor()}));

@@ -11,16 +11,23 @@
  *    peer links. It parses newline-delimited JSON requests, admits
  *    jobs to a *bounded* queue (over-capacity submits are rejected
  *    with a retry-after hint — backpressure, not buffering), answers
- *    status/result/stats without touching a worker, and drives every
- *    peer exchange asynchronously: a forwarded submit is a pipelined
- *    submit+wait frame on the owner's link, its failover walk a
- *    continuation chain (Forward) stepped by link completions, never
- *    a blocked thread.
+ *    stats and the admin and peer verbs without touching a worker,
+ *    and drives every peer exchange asynchronously: a forwarded
+ *    submit is a pipelined submit frame on the owner's link, its
+ *    failover walk a continuation chain (Forward) stepped by link
+ *    completions, never a blocked thread.
  *
  *  - N worker threads pop admitted jobs and ONLY simulate
  *    (Engine::runOne). Results flow back to the I/O thread as events
- *    through the wake pipe, which then resolves any parked
- *    submit+wait and "result"+wait requests.
+ *    through the wake pipe, which writes each submit's reply.
+ *
+ * Requests: a submit is answered exactly once, when its job finishes
+ * (a warm cache hit at once). Its reply target — connection id and
+ * rid — travels with the job: in its WorkItem, its Forward chain and
+ * its completion Event, and nowhere else. Writing the reply (or
+ * dropping it, when the client has gone) releases the last of it, so
+ * no per-request state outlives the reply; `requests_inflight` in
+ * stats counts the submits still owed one.
  *
  * Envelope: every request is answered at the one protocol version
  * this build speaks (kProtocolVersion); a request without "version"
@@ -45,9 +52,10 @@
  * locally first and then fanned out asynchronously to the other
  * holders ("replicate" op), and a local miss on a held key is
  * repaired by pulling a sibling's record ("fetch" op). The fan-out
- * thread's pushes and the read-repair fetches ride the multiplexed
- * links through a PoolPeerTransport while the event loop runs (and
- * fall back to one-shot connections around it). Forwarding is
+ * thread's pushes and the read-repair fetches ride the same
+ * multiplexed links as forwards: the one PeerPool, built in the
+ * constructor (rebuilt by configureCluster() before run()), which the
+ * ReplicatedStore calls through directly. Forwarding is
  * failover-aware: when the key's primary is unreachable the Forward
  * chain walks the remaining holders in ring order — enqueueing the
  * job locally when this node is itself one of them — before
@@ -91,8 +99,11 @@
  *
  * Shutdown: requestStop() (async-signal-safe; wired to SIGINT/SIGTERM
  * by dcgserved) stops accepting and admitting, drains queued and
- * running jobs, flushes responses, then returns from run(). A drain
- * grace period bounds how long undeliverable output is waited for.
+ * running jobs and queued replica pushes while the event loop still
+ * drives the peer links, flushes responses, then returns from run().
+ * A drain grace period bounds the wait; past it the pool is shut
+ * down, so every peer exchange still outstanding — a push, a fetch a
+ * worker is blocked on — fails fast instead of holding run() open.
  */
 
 #ifndef DCG_SERVE_SERVER_HH
@@ -172,8 +183,9 @@ class Server
      * Join a cluster after construction but before run() — the window
      * tests and multi-process launchers need when ports are ephemeral
      * and the full ring is only known once every node has bound.
-     * @p allNodes must contain @p self (canonical "host:port");
-     * fatal() otherwise or on a malformed ring.
+     * Rebuilds the peer pool (and the replication layer) over the new
+     * node table. @p allNodes must contain @p self (canonical
+     * "host:port"); fatal() otherwise or on a malformed ring.
      */
     void configureCluster(const std::vector<Endpoint> &allNodes,
                           const std::string &self) DCG_OWNER_THREAD;
@@ -211,31 +223,21 @@ class Server
         std::string out;
     };
 
-    enum class JobState { Queued, Running, Done, Failed };
-
-    /** A deferred response: a submit+wait or "result"+wait request
-     *  parked until its job finishes, a peer's `epoch` ack or an admin
-     *  verb parked until the rebalance drains. */
+    /** A deferred response: a submit parked until its job finishes, a
+     *  peer's `epoch` ack or an admin verb parked until the rebalance
+     *  drains. */
     struct ParkedResp
     {
         std::uint64_t connId = 0;
         bool hasRid = false;
         JsonValue rid;  ///< echoed verbatim on the deferred response
-    };
-
-    struct JobRec
-    {
-        JobState state = JobState::Queued;
-        RunResult result;
-        std::string error;  ///< set when state == Failed
-        std::chrono::steady_clock::time_point enqueued;
-        std::vector<ParkedResp> waiters;
+        std::chrono::steady_clock::time_point since;  ///< parked at
     };
 
     /** One locally-simulated job — the ONLY thing workers see. */
     struct WorkItem
     {
-        std::uint64_t id = 0;
+        ParkedResp to;  ///< the submit this job answers
         exp::Job job;
         /** Holder attempts burned before this local run (a Forward
          *  chain falling back to "we hold a replica, run it here"). */
@@ -251,7 +253,7 @@ class Server
      */
     struct Forward
     {
-        std::uint64_t id = 0;
+        ParkedResp to;     ///< the submit this job answers
         JobSpec spec;
         exp::Job job;      ///< for the serve-it-here fallback
         std::vector<std::size_t> holders;  ///< node-table indices
@@ -267,12 +269,11 @@ class Server
         std::string errs;
     };
 
+    /** A finished job on its way to finishJob(). */
     struct Event
     {
-        enum class Kind { Started, Done } kind = Kind::Done;
-        std::uint64_t id = 0;
+        ParkedResp to;  ///< the submit this job answers
         RunResult result;
-        exp::RunOutcome outcome = exp::RunOutcome::Simulated;
         bool remote = false;
         bool failed = false;
         unsigned failovers = 0;  ///< holder attempts after the first
@@ -322,19 +323,17 @@ class Server
     JsonValue handleSubmit(OpCall &c);
     JsonValue handleReplicate(const JsonValue &req);
     JsonValue handleFetch(const JsonValue &req);
-    JsonValue handleStatus(const JsonValue &req) const;
-    void handleResult(OpCall &c);
     JsonValue handleCompact();
     void handleJoin(OpCall &c);
     void handleLeave(OpCall &c);
     JsonValue handleRing() const;
     void handleEpoch(OpCall &c);
-    /** Node-table index for @p ep, appending (and growing the pool
-     *  and transports) when unknown. */
+    /** Node-table index for @p ep, appending (and growing the pool)
+     *  when unknown. */
     std::size_t nodeIndexOf(const Endpoint &ep);
-    /** Create the pool/transport lazily (a standalone node joining a
-     *  cluster mid-run has neither). */
-    void ensurePeerInfra();
+    /** (Re)build the pool over the node table and, store-backed, the
+     *  replication layer that calls through it. Before run() only. */
+    void buildPeers();
     /** Make {epoch, members} the current view: grow the node table,
      *  shift cur -> prev, rewire replication, start the rebalance
      *  push. The heart of a membership change. @p announcedPrev, when
@@ -359,11 +358,9 @@ class Server
     /** Write a deferred response to its (possibly gone) connection. */
     void respondParked(const ParkedResp &p, JsonValue resp);
     JsonValue statsJson() const;
-    JsonValue doneResponse(std::uint64_t id, const JobRec &rec) const;
-    JsonValue failedResponse(std::uint64_t id,
-                             const JobRec &rec) const;
     void drainEvents();
-    void finishJob(std::uint64_t id, JobRec &rec, Event &ev);
+    /** Count @p ev and write its reply: the end of a submit. */
+    void finishJob(Event &ev);
     bool idle();
     void stepForward(const std::shared_ptr<Forward> &fwd);
     void forwardReply(const std::shared_ptr<Forward> &fwd,
@@ -383,21 +380,21 @@ class Server
     unsigned workerCount;
     exp::Engine eng;
     std::shared_ptr<ResultStore> store;
-    std::shared_ptr<ReplicatedStore> repl;  ///< set when replicating
+    std::shared_ptr<ReplicatedStore> repl;  ///< set when store-backed
 
-    /** Multiplexed peer links (set when clustered), owned and driven
-     *  by the I/O thread's event loop. Destroyed AFTER repl is reset
+    /** The multiplexed peer links, owned and driven by the I/O
+     *  thread's event loop; never null. Destroyed AFTER repl is reset
      *  (~Server orders this explicitly): the replicator thread calls
-     *  into the pool through peerTransport. */
+     *  into the pool. */
     std::unique_ptr<PeerPool> pool;
-    std::shared_ptr<PeerTransport> peerTransport;
     std::uint64_t inflightForwards = 0;  ///< I/O thread only
 
     /// @name Cluster state (owner/I/O thread; epochs mutate it live)
     /// @{
-    /** Append-only node table: the index space peer links, transports
-     *  and Forward walks share. Members keep their slot across
-     *  epochs; a left node's slot simply stops being routed to. */
+    /** Append-only node table: the index space peer links, the
+     *  replication layer and Forward walks share. Members keep their
+     *  slot across epochs; a left node's slot simply stops being
+     *  routed to. */
     std::vector<Endpoint> nodes;
     HashRing ring;                ///< mirror of curEp.ring (ringView)
     std::string selfAddr;
@@ -407,7 +404,6 @@ class Server
     EpochView curEp;              ///< routes new work
     EpochView prevEp;             ///< dual-epoch routing + handoff
     unsigned epochReps = 1;       ///< configured k carried by epochs
-    bool loopRunning = false;     ///< run() is live (pool lazy-init)
     AdminChange adm;
     Rebalance rebal;
     std::uint64_t rebalArcsMoved = 0;  ///< keys whose arc remapped
@@ -422,9 +418,6 @@ class Server
 
     std::uint64_t nextConnId = 1;
     std::map<std::uint64_t, Conn> conns;  ///< conn id -> connection
-
-    std::uint64_t nextJobId = 1;
-    std::map<std::uint64_t, JobRec> jobs;  ///< I/O thread only
 
     mutable std::mutex qMutex;
     std::condition_variable qCv;
@@ -441,6 +434,7 @@ class Server
     std::uint64_t peakInflightForwards = 0;
     std::uint64_t jobsSubmitted = 0;
     std::uint64_t jobsCompleted = 0;
+    std::uint64_t requestsInflight = 0;  ///< submits owed a reply
     std::uint64_t jobsForwarded = 0;
     std::uint64_t forwardFailures = 0;
     std::uint64_t failoverCount = 0;

@@ -1,6 +1,5 @@
 /**
- * Elastic-membership tests (protocol v5): live join/leave on the
- * versioned ring.
+ * Elastic-membership tests: live join/leave on the versioned ring.
  *
  *  - a join moves exactly the arcs the ring remaps (~1/N) and nothing
  *    else, and the moved records are served without re-simulation;
@@ -8,7 +7,8 @@
  *    byte-identical to a local engine run;
  *  - leaving a replica holder keeps every key answerable;
  *  - a double join is rejected with a structured already_member error;
- *  - epoch disagreement resolves to the higher epoch.
+ *  - epoch disagreement resolves to the higher epoch;
+ *  - a live-joined node replicates over its multiplexed peer links.
  */
 
 #include <gtest/gtest.h>
@@ -296,4 +296,48 @@ TEST(Membership, EpochMismatchResolvesToHigher)
     EXPECT_EQ(resp.get("error").asString(), "stale_epoch");
     EXPECT_EQ(resp.get("epoch").asU64(0), higher);
     EXPECT_EQ(resp.get("members").items().size(), 2u);
+}
+
+TEST(Membership, JoinedNodeReplicatesOverItsPeerLinks)
+{
+    ReplicaCluster cluster(2, 2, "join_links");
+    cluster.start();
+    const std::size_t j = cluster.addStandaloneNode("join_links_new");
+    const JsonValue joined =
+        cluster.adminOp(0, "join", cluster.address(j));
+    ASSERT_TRUE(joined.get("ok").asBool(false)) << joined.dump();
+
+    // Fresh keys (a seed nothing has run), widened until the joiner is
+    // the primary of some: it simulates those and fans them out.
+    const HashRing grown({cluster.address(0), cluster.address(1),
+                          cluster.address(j)});
+    std::vector<JobSpec> specs = gridSpecs();
+    for (JobSpec &s : specs)
+        s.seed = 7;
+    const auto joinerOwns = [&] {
+        for (const JobSpec &s : specs)
+            if (grown.owner(exp::jobKey(s.toJob())) == cluster.address(j))
+                return true;
+        return false;
+    };
+    for (const std::string &bench : allSpecNames()) {
+        if (joinerOwns())
+            break;
+        JobSpec s = specs.front();
+        s.bench = bench;
+        s.scheme = "ddcg";
+        specs.push_back(s);
+    }
+    ASSERT_TRUE(joinerOwns());
+
+    EXPECT_EQ(asJson(runVia(cluster.boundEndpoints(), specs, 2)),
+              asJson(runLocally(specs)));
+    cluster.flushReplication();
+
+    // Every replica the joiner wrote went over its pooled links: one
+    // peer request per push at least (fetches count too).
+    const JsonValue st = cluster.nodeStats(j);
+    const std::uint64_t written = st.get("replicas_written").asU64(0);
+    EXPECT_GT(written, 0u) << st.dump();
+    EXPECT_GE(st.get("peer_requests").asU64(0), written) << st.dump();
 }

@@ -79,8 +79,8 @@ opRequest(const std::string &op)
 TEST(OpRegistry, CatalogNamesEveryVerb)
 {
     const std::vector<std::string> expected = {
-        "compact", "epoch",  "fetch",     "join",  "leave", "replicate",
-        "result",  "ring",   "shutdown",  "stats", "status", "submit"};
+        "compact", "epoch", "fetch", "join",  "leave",
+        "replicate", "ring", "shutdown", "stats", "submit"};
     std::vector<std::string> names = ops().names();
     std::sort(names.begin(), names.end());
     EXPECT_EQ(names, expected);

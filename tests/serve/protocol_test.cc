@@ -1,7 +1,7 @@
 /**
- * Tests for the dcgserved wire protocol types: JobSpec/GridSpec JSON
- * round-trips, validation (reject, don't die), grid expansion, and the
- * bit-exact result embedding used by "result" responses.
+ * Tests for the dcgserved wire protocol types: JobSpec JSON
+ * round-trips, validation (reject, don't die), and the bit-exact
+ * result embedding used by submit replies.
  */
 
 #include <gtest/gtest.h>
@@ -102,42 +102,6 @@ TEST(Protocol, JobSpecToJobMatchesPresets)
     EXPECT_EQ(exp::jobKey(s.toJob()),
               exp::jobKey(exp::makeJob(profileByName("gzip"), deep,
                                        kInsts, kWarmup)));
-}
-
-TEST(Protocol, GridSpecExpansionAndDefaults)
-{
-    GridSpec g;
-    g.insts = kInsts;
-    g.warmup = kWarmup;
-    std::string err;
-    ASSERT_TRUE(g.validate(err)) << err;
-
-    // Defaults: full benchmark set x {base, dcg}.
-    const auto all = g.expand();
-    EXPECT_EQ(all.size(), allSpecNames().size() * 2);
-
-    g.benchmarks = {"gzip", "mcf"};
-    g.schemes = {"base", "dcg", "plb-ext"};
-    const auto some = g.expand();
-    ASSERT_EQ(some.size(), 6u);
-    EXPECT_EQ(some[0].bench, "gzip");
-    EXPECT_EQ(some[0].scheme, "base");
-    EXPECT_EQ(some[5].bench, "mcf");
-    EXPECT_EQ(some[5].scheme, "plb-ext");
-    for (const JobSpec &s : some) {
-        EXPECT_EQ(s.insts, kInsts);
-        EXPECT_EQ(s.warmup, kWarmup);
-    }
-
-    GridSpec bad = g;
-    bad.schemes = {"warp"};
-    EXPECT_FALSE(bad.validate(err));
-
-    GridSpec back;
-    ASSERT_TRUE(GridSpec::fromJson(g.toJson(), back, err)) << err;
-    EXPECT_EQ(back.benchmarks, g.benchmarks);
-    EXPECT_EQ(back.schemes, g.schemes);
-    EXPECT_EQ(back.insts, g.insts);
 }
 
 TEST(Protocol, SchemeValidationTracksRegistry)

@@ -6,7 +6,8 @@
  * Extends the pattern of cluster_test.cc's fixture with the three
  * capabilities fault-injection tests need:
  *
- *  - replication knobs (replicas / peerTimeoutMs) on every node;
+ *  - replication and drain knobs (replicas / peerTimeoutMs /
+ *    drainGraceMs) on every node;
  *  - a two-phase start, so the canonical ring can be built on
  *    addresses *other* than the bind addresses — in practice the
  *    faultnet proxy addresses, which puts a FaultProxy on every
@@ -56,8 +57,10 @@ class ReplicaCluster
      */
     ReplicaCluster(std::size_t n, unsigned replicas,
                    const std::string &storeTag,
-                   unsigned peerTimeoutMs = 0)
-        : replicaCount(replicas), peerTimeout(peerTimeoutMs)
+                   unsigned peerTimeoutMs = 0,
+                   unsigned drainGraceMs = ServerConfig{}.drainGraceMs)
+        : replicaCount(replicas), peerTimeout(peerTimeoutMs),
+          drainGrace(drainGraceMs)
     {
         for (std::size_t i = 0; i < n; ++i) {
             ServerConfig cfg = baseConfig(i, storeTag);
@@ -232,6 +235,7 @@ class ReplicaCluster
         cfg.workers = 2;
         cfg.replicas = replicaCount;
         cfg.peerTimeoutMs = peerTimeout;
+        cfg.drainGraceMs = drainGrace;
         if (!storeTag.empty()) {
             if (storeDirs.size() <= i)
                 storeDirs.resize(i + 1);
@@ -252,6 +256,7 @@ class ReplicaCluster
 
     unsigned replicaCount;
     unsigned peerTimeout;
+    unsigned drainGrace;
     std::vector<std::unique_ptr<Server>> servers;
     std::vector<std::thread> threads;
     std::vector<std::uint16_t> ports;

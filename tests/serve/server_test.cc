@@ -2,18 +2,21 @@
  * End-to-end tests for dcgserved's Server + ClusterClient: remote
  * execution bit-identical to a local Engine, the stats surface,
  * backpressure on a full queue, bad-request tolerance (a pathologically
- * nested request line and an out-of-range replica count included),
- * warm resubmission, and the cold-restart-from-store acceptance path
- * (0 simulations).
+ * nested request line, an out-of-range replica count and the retired
+ * job-id verbs and submit forms included), the requests_inflight
+ * gauge of submits still owed a reply, warm resubmission, and the
+ * cold-restart-from-store acceptance path (0 simulations).
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -226,18 +229,192 @@ TEST(Server, MalformedAndUnknownRequestsAreRejectedNotFatal)
     resp = client.roundTrip(submit);
     EXPECT_FALSE(resp.get("ok").asBool(true));
 
-    // Unknown job id.
-    JsonValue status = JsonValue::object();
-    status.set("op", JsonValue::string("status"));
-    status.set("id", JsonValue::integer(std::uint64_t{999999}));
-    resp = client.roundTrip(status);
-    EXPECT_FALSE(resp.get("ok").asBool(true));
-    EXPECT_EQ(resp.get("error").asString(), "unknown_id");
+    // There are no job ids to ask about: the retired status/result
+    // verbs are unknown ops, and the rejection names the catalog.
+    for (const char *op : {"status", "result"}) {
+        JsonValue byId = JsonValue::object();
+        byId.set("op", JsonValue::string(op));
+        byId.set("id", JsonValue::integer(std::uint64_t{1}));
+        resp = client.roundTrip(byId);
+        EXPECT_FALSE(resp.get("ok").asBool(true)) << op;
+        EXPECT_EQ(resp.get("error").asString(), "bad_request") << op;
+        EXPECT_NE(resp.get("detail").asString().find(ops().joined()),
+                  std::string::npos)
+            << resp.dump();
+    }
+
+    // A submit carries exactly one job: the retired batch forms are
+    // malformed submits.
+    JobSpec ok;
+    ok.insts = kInsts;
+    ok.warmup = kWarmup;
+    JsonValue batch = JsonValue::array();
+    batch.push(ok.toJson());
+    JsonValue grid = JsonValue::object();
+    grid.set("insts", JsonValue::integer(kInsts));
+    for (const auto &[form, body] :
+         {std::make_pair("jobs", batch), std::make_pair("grid", grid)}) {
+        JsonValue multi = JsonValue::object();
+        multi.set("op", JsonValue::string("submit"));
+        multi.set(form, body);
+        resp = client.roundTrip(multi);
+        EXPECT_FALSE(resp.get("ok").asBool(true)) << form;
+        EXPECT_EQ(resp.get("error").asString(), "bad_request") << form;
+    }
 
     // The connection (and server) survived all of it.
     const JsonValue stats = client.stats();
-    EXPECT_GE(stats.get("bad_requests").asU64(), 2u);
+    EXPECT_GE(stats.get("bad_requests").asU64(), 6u);
     EXPECT_EQ(stats.get("jobs_submitted").asU64(), 0u);
+    EXPECT_EQ(stats.get("requests_inflight").asU64(99), 0u);
+}
+
+TEST(Server, SubmitIsAnsweredOnceWithItsResultOnly)
+{
+    ServerFixture fx;
+    ClusterClient client({fx.endpoint()});
+    JobSpec s;
+    s.insts = kInsts;
+    s.warmup = kWarmup;
+    JsonValue submit = JsonValue::object();
+    submit.set("op", JsonValue::string("submit"));
+    submit.set("job", s.toJson());
+
+    // Simulated, then a cache hit; the legacy "wait" flag changes
+    // nothing. Every reply is the result and nothing else.
+    for (const bool wait : {false, false, true}) {
+        if (wait)
+            submit.set("wait", JsonValue::boolean(true));
+        const JsonValue resp = client.roundTrip(submit);
+        ASSERT_TRUE(resp.get("ok").asBool(false)) << resp.dump();
+        std::vector<RunResult> one;
+        std::string err;
+        ASSERT_TRUE(resultsFromJson(resp.get("result"), one, err)) << err;
+        ASSERT_EQ(one.size(), 1u);
+        EXPECT_EQ(one[0].benchmark, s.bench);
+        for (const char *gone : {"id", "ids", "status"})
+            EXPECT_FALSE(resp.has(gone)) << gone << ": " << resp.dump();
+    }
+    const JsonValue stats = client.stats();
+    EXPECT_EQ(stats.get("simulations").asU64(), 1u);
+    EXPECT_EQ(stats.get("jobs_completed").asU64(), 3u);
+    EXPECT_EQ(stats.get("requests_inflight").asU64(99), 0u);
+}
+
+TEST(Server, RequestsInflightCountsParkedSubmitsUntilTheyFinish)
+{
+    // The key's ring owner is a listening socket this test answers
+    // for by hand, so a forwarded submit stays parked exactly as long
+    // as the test wants.
+    const int owner = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(owner, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t alen = sizeof(addr);
+    ASSERT_EQ(::bind(owner, reinterpret_cast<sockaddr *>(&addr), alen),
+              0);
+    ASSERT_EQ(::listen(owner, 4), 0);
+    ASSERT_EQ(::getsockname(owner, reinterpret_cast<sockaddr *>(&addr),
+                            &alen),
+              0);
+    const Endpoint ownerEp{"127.0.0.1", ntohs(addr.sin_port)};
+
+    ServerConfig cfg;
+    cfg.host = "127.0.0.1";
+    cfg.workers = 1;
+    Server server(cfg);
+    const Endpoint self{"127.0.0.1", server.port()};
+    server.configureCluster({self, ownerEp}, self.str());
+    std::thread io([&] { server.run(); });
+    struct StopOnExit
+    {
+        Server &server;
+        std::thread &io;
+        ~StopOnExit()
+        {
+            server.requestStop();
+            io.join();
+        }
+    } stopOnExit{server, io};
+
+    JobSpec spec;
+    spec.insts = kInsts;
+    spec.warmup = kWarmup;
+    bool found = false;
+    for (const std::string &bench : allSpecNames()) {
+        spec.bench = bench;
+        if (server.ringView().ownerIndex(exp::jobKey(spec.toJob())) == 1) {
+            found = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(found) << "no benchmark hashes to the hand-run owner";
+
+    const auto stat = [&](const char *name) {
+        Connection conn;
+        std::string err;
+        JsonValue req = JsonValue::object();
+        req.set("op", JsonValue::string("stats"));
+        JsonValue resp;
+        EXPECT_TRUE(conn.open(self, err) && conn.roundTrip(req, resp, err))
+            << err;
+        return resp.get("stats").get(name).asU64(99);
+    };
+    const auto await = [&](const char *name, std::uint64_t want) {
+        for (int i = 0; i < 200 && stat(name) != want; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        return stat(name);
+    };
+
+    // Submit and hang up without reading: the reply is parked on the
+    // forward to the owner, which the owner has received.
+    const std::string line =
+        "{\"op\": \"submit\", \"job\": " + spec.toJson().dump() + "}\n";
+    const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in saddr{};
+    saddr.sin_family = AF_INET;
+    saddr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    saddr.sin_port = htons(server.port());
+    ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr *>(&saddr),
+                        sizeof(saddr)),
+              0);
+    ASSERT_EQ(::write(client, line.data(), line.size()),
+              static_cast<ssize_t>(line.size()));
+
+    pollfd pfd{owner, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10000), 1) << "no forward reached the owner";
+    const int link = ::accept(owner, nullptr, nullptr);
+    ASSERT_GE(link, 0);
+    std::string fwd;
+    char ch = 0;
+    while (::read(link, &ch, 1) == 1 && ch != '\n')
+        fwd += ch;
+    JsonValue fwdReq;
+    std::string err;
+    ASSERT_TRUE(JsonValue::parse(fwd, fwdReq, err)) << err << ": " << fwd;
+    EXPECT_EQ(fwdReq.get("op").asString(), "submit");
+    EXPECT_EQ(stat("requests_inflight"), 1u);
+
+    // The client leaving does not answer the submit: the job is still
+    // in flight, and so is its (now undeliverable) reply.
+    ::close(client);
+    EXPECT_EQ(await("connections", 1), 1u);  // the stats probe itself
+    EXPECT_EQ(stat("requests_inflight"), 1u);
+
+    // The owner answers; the job finishes, its reply is dropped, and
+    // nothing of the request remains.
+    JsonValue reply = errorResponse("draining", "owner is shutting down");
+    reply.set("rid", fwdReq.get("rid"));
+    stampVersion(reply, kProtocolVersion);
+    const std::string out = reply.dump() + "\n";
+    ASSERT_EQ(::write(link, out.data(), out.size()),
+              static_cast<ssize_t>(out.size()));
+    EXPECT_EQ(await("requests_inflight", 0), 0u);
+    EXPECT_EQ(stat("jobs_completed"), 1u);
+    EXPECT_EQ(stat("forward_failures"), 1u);
+    ::close(link);
+    ::close(owner);
 }
 
 TEST(Server, DeeplyNestedRequestLineIsRejectedNotFatal)
