@@ -5,11 +5,12 @@
  *
  * Topology: --nodes in-process dcgserved shards on a shared ring with
  * --workers simulation workers each. --connections independent load
- * generators each hold --inflight protocol-v4 submit+wait frames
- * pipelined on ONE persistent PeerLink to an entry node (entry nodes
- * round-robin over the ring), so with nodes > 1 a steady fraction of
- * the jobs is forwarded shard-to-shard over the server-side
- * multiplexed peer links — the path this driver exists to measure.
+ * generators each hold --inflight submit frames (each answered once,
+ * when its job finishes) pipelined on ONE persistent PeerLink to an
+ * entry node (entry nodes round-robin over the ring), so with
+ * nodes > 1 a steady fraction of the jobs is forwarded shard-to-shard
+ * over the server-side multiplexed peer links — the path this driver
+ * exists to measure.
  *
  * Every run is also a correctness check: the assembled grid must be
  * byte-identical to a local Engine run of the same jobs, and with
@@ -308,7 +309,6 @@ main(int argc, char **argv)
             JsonValue req = JsonValue::object();
             req.set("op", JsonValue::string("submit"));
             req.set("job", specs[idx].toJson());
-            req.set("wait", JsonValue::boolean(true));
             {
                 std::lock_guard<std::mutex> g(bd.m);
                 if (bd.sentAt[idx] == Clock::time_point{})

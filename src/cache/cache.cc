@@ -31,8 +31,6 @@ Cache::Cache(const std::string &name, const CacheGeometry &geom_,
       misses(stats.counter(name + ".misses", "cache misses")),
       writebacks(stats.counter(name + ".writebacks",
                                "dirty lines evicted")),
-      prefetches(stats.counter(name + ".prefetches",
-                               "next-line prefetch fills")),
       mshrStalls(stats.counter(name + ".mshr_stalls",
                                "misses delayed by full MSHRs"))
 {
@@ -134,18 +132,6 @@ Cache::access(Addr addr, bool is_write, Cycle now)
             it = it->second <= now ? inflight.erase(it) : std::next(it);
         }
     }
-
-    if (geom.nextLinePrefetch) {
-        // Tagged next-line prefetch: pull the successor line alongside
-        // the demand fill; the requester is not charged.
-        const Addr next_line = lineAddr(addr) + geom.lineBytes;
-        if (!contains(next_line)) {
-            ++prefetches;
-            const Cycle pf = nextLevel->access(next_line, false,
-                                               now + geom.hitLatency);
-            installLine(next_line, false, now + geom.hitLatency + pf);
-        }
-    }
     return total;
 }
 
@@ -172,35 +158,6 @@ Cache::warmLine(Addr addr)
     victim->dirty = false;
     victim->tag = tag;
     victim->lastUse = ++useClock;
-}
-
-void
-Cache::installLine(Addr addr, bool dirty, Cycle ready_at)
-{
-    const unsigned base = setIndex(addr) * geom.assoc;
-    const Addr tag = tagOf(addr);
-    Line *victim = &lines[base];
-    for (unsigned w = 0; w < geom.assoc; ++w) {
-        Line &l = lines[base + w];
-        if (l.valid && l.tag == tag)
-            return;  // already present
-        if (!l.valid) {
-            victim = &l;
-            break;
-        }
-        if (victim->valid && l.lastUse < victim->lastUse)
-            victim = &l;
-    }
-    if (victim->valid && victim->dirty)
-        ++writebacks;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = tag;
-    // Prefetched lines install as LRU-adjacent so useless prefetches
-    // leave quickly; a demand hit will promote them.
-    victim->lastUse = ++useClock;
-    inflight[lineAddr(addr)] = ready_at;
-    lastFillDone = std::max(lastFillDone, ready_at);
 }
 
 Cycle

@@ -68,9 +68,6 @@ struct CacheGeometry
      */
     unsigned mshrs = 8;
 
-    /** Tagged next-line prefetch on demand misses. */
-    bool nextLinePrefetch = false;
-
     bool operator==(const CacheGeometry &) const = default;
 };
 
@@ -102,7 +99,6 @@ class Cache : public MemLevel
 
     std::uint64_t numAccesses() const { return accesses.value(); }
     std::uint64_t numMisses() const { return misses.value(); }
-    std::uint64_t numPrefetches() const { return prefetches.value(); }
 
   private:
     struct Line
@@ -116,9 +112,6 @@ class Cache : public MemLevel
     unsigned setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
     Addr lineAddr(Addr addr) const;
-
-    /** Install @p addr's line without charging the requester. */
-    void installLine(Addr addr, bool dirty, Cycle ready_at);
 
     /** Outstanding-fill housekeeping; returns MSHR queueing delay. */
     Cycle mshrDelay(Cycle now);
@@ -143,7 +136,6 @@ class Cache : public MemLevel
     Counter &accesses;
     Counter &misses;
     Counter &writebacks;
-    Counter &prefetches;
     Counter &mshrStalls;
 };
 

@@ -59,69 +59,22 @@
 namespace dcg::exp {
 
 /**
- * Shared lifecycle surface for every result-holding layer — the
- * Engine's in-memory cache and any persistent store implement the
- * same four operations, so a long-lived service can budget and
- * maintain both through one API:
- *
- *  - entries()/bytes(): current occupancy (bytes may be an estimate
- *    for in-memory layers);
- *  - evictTo(budget): drop least-recently-used entries until bytes()
- *    is within @p budget — an explicit call always enforces the
- *    bound, so evictTo(0) empties the layer;
- *  - compact(): garbage-collect the backing storage (stale temp
- *    files, corrupt records); a pure in-memory layer has nothing to
- *    collect and returns 0.
- *
- * All four must be safe to call concurrently with get/put traffic.
- */
-class StoreLifecycle
-{
-  public:
-    virtual ~StoreLifecycle() = default;
-
-    /** Entries currently held. */
-    virtual std::size_t entries() const = 0;
-
-    /** Bytes currently held (estimated for in-memory layers). */
-    virtual std::uint64_t bytes() const = 0;
-
-    /**
-     * Evict least-recently-used entries until bytes() <= @p budget.
-     * Returns the number of entries evicted.
-     */
-    virtual std::size_t evictTo(std::uint64_t budgetBytes) = 0;
-
-    /**
-     * Rewrite/garbage-collect backing storage; returns the number of
-     * objects removed or repaired.
-     */
-    virtual std::size_t compact() = 0;
-};
-
-/**
  * Slot for a persistent result layer beneath the in-memory cache.
  * Implementations must be safe to call from several worker threads
  * concurrently (the engine guarantees at most one caller per key at a
  * time, but different keys arrive in parallel). A corrupt or missing
  * record is a miss (get() returns false), never an error.
- *
- * The lifecycle defaults are no-ops so minimal stores (fakes,
- * adapters) only have to provide get/put; real stores override them.
  */
-class ResultStoreBase : public StoreLifecycle
+class ResultStoreBase
 {
   public:
+    virtual ~ResultStoreBase() = default;
+
     /** Fetch the record for @p key into @p out; false = miss. */
     virtual bool get(const std::string &key, RunResult &out) = 0;
 
     /** Persist (or overwrite/repair) the record for @p key. */
     virtual void put(const std::string &key, const RunResult &r) = 0;
-
-    std::size_t entries() const override { return 0; }
-    std::uint64_t bytes() const override { return 0; }
-    std::size_t evictTo(std::uint64_t) override { return 0; }
-    std::size_t compact() override { return 0; }
 };
 
 /** Where runOne() found (or produced) a result; for stats and tests. */
@@ -132,7 +85,7 @@ enum class RunOutcome {
     Shared,     ///< waited on another thread's in-flight execution
 };
 
-class Engine : public StoreLifecycle
+class Engine
 {
   public:
     /** @param jobs worker-thread count; 0 = defaultJobs(). */
@@ -179,21 +132,15 @@ class Engine : public StoreLifecycle
     std::uint64_t timingRuns() const { return timingRunCount.load(); }
     std::size_t cacheSize() const;
     void clearCache();
-    /// @}
-
-    /// @name StoreLifecycle over the in-memory cache
-    /// @{
-    std::size_t entries() const override { return cacheSize(); }
     /** Estimated cache footprint (keys + results + slot overhead). */
-    std::uint64_t bytes() const override;
+    std::uint64_t bytes() const;
     /**
      * Drop completed least-recently-used entries until the estimate
      * is within @p budget; in-flight entries are never evicted (their
-     * waiters hold the slot alive regardless).
+     * waiters hold the slot alive regardless). evictTo(0) empties the
+     * cache. Returns the number of entries evicted.
      */
-    std::size_t evictTo(std::uint64_t budgetBytes) override;
-    /** Nothing to collect for a pure in-memory cache; returns 0. */
-    std::size_t compact() override { return 0; }
+    std::size_t evictTo(std::uint64_t budgetBytes);
     /// @}
 
     /**

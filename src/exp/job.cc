@@ -118,16 +118,7 @@ serialize(KeyStream &ks, const SimConfig &c)
        << t.regWriteCap << t.lsqOpCap << t.robOpCap
        << t.resultBusClockCap << t.resultBusDriveCap << t.l2AccessCap;
 
-    ks << c.scheme;
-    ks << c.dcg.gateExecUnits << c.dcg.gateLatches
-       << c.dcg.gateDcacheDecoders << c.dcg.gateResultBus
-       << c.dcg.gateIssueQueue;
-    ks << c.plb.windowCycles << c.plb.ipcThresholdLow
-       << c.plb.ipcThresholdMid << c.plb.fpIpcGuard
-       << c.plb.downConfirmWindows << c.plb.extended;
-    ks << c.ddcg.gateAllPhases << c.ddcg.bitActivityFactor
-       << c.ddcg.compareOverhead;
-    ks << c.cgooo.blockSize << c.cgooo.schedOverhead;
+    ks << c.scheme << c.dcg.gateIssueQueue << c.plb.windowCycles;
     ks << c.seed;
 }
 

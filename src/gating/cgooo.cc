@@ -8,22 +8,26 @@
 
 namespace dcg {
 
+namespace {
+
+/** Issue-queue entries per block (must divide the window size). */
+constexpr unsigned kBlockSize = 16;
+/** Per-block scheduler energy per cycle, x iqClockCap (cgooo.hh). */
+constexpr double kSchedOverhead = 0.04;
+
+} // namespace
+
 CgoooController::CgoooController(const CoreConfig &core_cfg,
-                                 const CgoooConfig &cfg_,
                                  StatRegistry &stats)
     : coreCfg(core_cfg),
-      cfg(cfg_),
       activeBlocks(stats.counter("cgooo.active_blocks",
                                  "issue-queue block-cycles clocked")),
       gatedBlocks(stats.counter("cgooo.gated_blocks",
                                 "issue-queue block-cycles clock-gated"))
 {
-    DCG_ASSERT(cfg.blockSize > 0 &&
-               coreCfg.windowSize % cfg.blockSize == 0,
+    DCG_ASSERT(coreCfg.windowSize % kBlockSize == 0,
                "CG-OoO block size must divide the window size");
-    DCG_ASSERT(cfg.schedOverhead >= 0.0,
-               "negative CG-OoO scheduler overhead");
-    numBlocks = coreCfg.windowSize / cfg.blockSize;
+    numBlocks = coreCfg.windowSize / kBlockSize;
 }
 
 GateState
@@ -40,7 +44,7 @@ CgoooController::gates(const CycleActivity &act)
     const unsigned reserved = std::min<unsigned>(
         act.iqOccupied + coreCfg.renameWidth, coreCfg.windowSize);
     const unsigned active =
-        (reserved + cfg.blockSize - 1) / cfg.blockSize;
+        (reserved + kBlockSize - 1) / kBlockSize;
     const unsigned gated = numBlocks - active;
     activeBlocks += active;
     gatedBlocks += gated;
@@ -51,7 +55,7 @@ CgoooController::gates(const CycleActivity &act)
     // Wakeup broadcast is driven only into active blocks.
     g.iqWakeupScale = active_frac;
     // The per-block schedulers of the active blocks are clocked.
-    g.iqSchedOverhead = cfg.schedOverhead * active_frac;
+    g.iqSchedOverhead = kSchedOverhead * active_frac;
     return g;
 }
 
@@ -69,7 +73,7 @@ CgoooController::skipIdle(Core &core, std::uint64_t cycles,
         const unsigned reserved = std::min<unsigned>(
             coreCfg.renameWidth, coreCfg.windowSize);
         const unsigned active =
-            (reserved + cfg.blockSize - 1) / cfg.blockSize;
+            (reserved + kBlockSize - 1) / kBlockSize;
         activeBlocks += std::uint64_t{active} * (cycles - 1);
         gatedBlocks += std::uint64_t{numBlocks - active} * (cycles - 1);
     }
@@ -83,13 +87,10 @@ const bool registered = schemes().add(
     {"cgooo",
      "coarse-grain OoO gating (Mohammadi et al., arXiv 1606.01607):"
      " block-granular issue-queue clock and wakeup-broadcast gating",
-     {{"block-size", "issue-queue entries per gated block", "16"},
-      {"sched-overhead",
-       "per-block scheduler energy, fraction of iqClockCap", "0.04"}},
+     {},
      true},
     [](const SimConfig &cfg, StatRegistry &stats) {
-        return std::make_unique<CgoooController>(cfg.core, cfg.cgooo,
-                                                 stats);
+        return std::make_unique<CgoooController>(cfg.core, stats);
     });
 
 } // namespace

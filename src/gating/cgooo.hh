@@ -24,12 +24,15 @@
  * instruction nor one of this cycle's arrivals, so a gated block is
  * never a used block.
  *
+ * Blocks hold kBlockSize (16) entries, so the Table-1 window has 8.
+ *
  * Energy: gated blocks drop their share of the queue clock/precharge
  * (iqGatedFraction); the wakeup broadcast scales by the active-block
  * fraction (iqWakeupScale); the per-block scheduler costs
- * schedOverhead x iqClockCap scaled by the same fraction
- * (iqSchedOverhead, charged to the CgoooSched component). Latches,
- * execution units, D-cache and result buses see baseline clocks.
+ * kSchedOverhead (0.04) x iqClockCap scaled by the same fraction
+ * (iqSchedOverhead, charged to the CgoooSched component). Both
+ * constants live in cgooo.cc. Latches, execution units, D-cache and
+ * result buses see baseline clocks.
  */
 
 #ifndef DCG_GATING_CGOOO_HH
@@ -40,23 +43,10 @@
 
 namespace dcg {
 
-struct CgoooConfig
-{
-    /** Issue-queue entries per block (must divide the window size). */
-    unsigned blockSize = 16;
-
-    /**
-     * Per-block scheduler energy, as a fraction of iqClockCap charged
-     * per cycle scaled by the active-block fraction.
-     */
-    double schedOverhead = 0.04;
-};
-
 class CgoooController : public GatingPolicy
 {
   public:
-    CgoooController(const CoreConfig &core_cfg, const CgoooConfig &cfg,
-                    StatRegistry &stats);
+    CgoooController(const CoreConfig &core_cfg, StatRegistry &stats);
 
     GateState gates(const CycleActivity &act) override;
 
@@ -67,7 +57,6 @@ class CgoooController : public GatingPolicy
 
   private:
     CoreConfig coreCfg;
-    CgoooConfig cfg;
     unsigned numBlocks;
 
     Counter &activeBlocks;

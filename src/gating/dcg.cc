@@ -1,7 +1,6 @@
 #include "gating/dcg.hh"
 
 #include <algorithm>
-
 #include <string>
 
 #include "common/log.hh"
@@ -62,43 +61,37 @@ DcgController::gates(const CycleActivity &act)
     GateState g;
     g.dcgControlActive = true;
 
-    if (cfg.gateExecUnits) {
-        for (unsigned t = 0; t < kNumFuTypes; ++t) {
-            const std::uint16_t all = static_cast<std::uint16_t>(
-                (1u << coreCfg.fuCount[t]) - 1);
-            // The GRANT signals piped from the issue stage identify the
-            // busy instances for this cycle; everything else is gated.
-            const std::uint16_t mask =
-                static_cast<std::uint16_t>(all & ~act.fuBusyMask[t]);
-            g.fuGateMask[t] = mask;
-            gatedFuCycles += __builtin_popcount(mask);
-            *toggles[t] += __builtin_popcount(
-                static_cast<std::uint16_t>(mask ^ prevMask[t]));
-            prevMask[t] = mask;
-        }
+    for (unsigned t = 0; t < kNumFuTypes; ++t) {
+        const std::uint16_t all = static_cast<std::uint16_t>(
+            (1u << coreCfg.fuCount[t]) - 1);
+        // The GRANT signals piped from the issue stage identify the
+        // busy instances for this cycle; everything else is gated.
+        const std::uint16_t mask =
+            static_cast<std::uint16_t>(all & ~act.fuBusyMask[t]);
+        g.fuGateMask[t] = mask;
+        gatedFuCycles += __builtin_popcount(mask);
+        *toggles[t] += __builtin_popcount(
+            static_cast<std::uint16_t>(mask ^ prevMask[t]));
+        prevMask[t] = mask;
     }
 
-    if (cfg.gateLatches) {
-        for (unsigned p = 0; p < kNumLatchPhases; ++p) {
-            const auto phase = static_cast<LatchPhase>(p);
-            if (!latchPhaseGateable(phase))
-                continue;
-            DCG_ASSERT(act.latchFlux[p] <= coreCfg.issueWidth,
-                       "latch flux exceeds machine width");
-            const std::uint8_t gated = static_cast<std::uint8_t>(
-                coreCfg.issueWidth - act.latchFlux[p]);
-            g.latchSlotsGated[p] = gated;
-            gatedLatchSlots += gated;
-        }
+    for (unsigned p = 0; p < kNumLatchPhases; ++p) {
+        const auto phase = static_cast<LatchPhase>(p);
+        if (!latchPhaseGateable(phase))
+            continue;
+        DCG_ASSERT(act.latchFlux[p] <= coreCfg.issueWidth,
+                   "latch flux exceeds machine width");
+        const std::uint8_t gated = static_cast<std::uint8_t>(
+            coreCfg.issueWidth - act.latchFlux[p]);
+        g.latchSlotsGated[p] = gated;
+        gatedLatchSlots += gated;
     }
 
-    if (cfg.gateDcacheDecoders) {
-        DCG_ASSERT(act.dcachePortsUsed <= coreCfg.dcachePorts,
-                   "port use exceeds port count");
-        g.dcachePortsGated = static_cast<std::uint8_t>(
-            coreCfg.dcachePorts - act.dcachePortsUsed);
-        gatedPorts += g.dcachePortsGated;
-    }
+    DCG_ASSERT(act.dcachePortsUsed <= coreCfg.dcachePorts,
+               "port use exceeds port count");
+    g.dcachePortsGated = static_cast<std::uint8_t>(
+        coreCfg.dcachePorts - act.dcachePortsUsed);
+    gatedPorts += g.dcachePortsGated;
 
     if (cfg.gateIssueQueue) {
         // [6]: entries beyond the allocated window region are known
@@ -112,13 +105,11 @@ DcgController::gates(const CycleActivity &act)
             static_cast<double>(size - occupied) / size;
     }
 
-    if (cfg.gateResultBus) {
-        DCG_ASSERT(act.resultBusUsed <= coreCfg.numResultBuses,
-                   "bus use exceeds bus count");
-        g.resultBusesGated = static_cast<std::uint8_t>(
-            coreCfg.numResultBuses - act.resultBusUsed);
-        gatedBuses += g.resultBusesGated;
-    }
+    DCG_ASSERT(act.resultBusUsed <= coreCfg.numResultBuses,
+               "bus use exceeds bus count");
+    g.resultBusesGated = static_cast<std::uint8_t>(
+        coreCfg.numResultBuses - act.resultBusUsed);
+    gatedBuses += g.resultBusesGated;
 
     return g;
 }
@@ -135,23 +126,17 @@ DcgController::skipIdle(Core &core, std::uint64_t cycles, IdleSink &sink)
     const GateState g = gates(idle);
     if (cycles > 1) {
         const std::uint64_t rest = cycles - 1;
-        if (cfg.gateExecUnits) {
-            std::uint64_t per = 0;
-            for (unsigned t = 0; t < kNumFuTypes; ++t)
-                per += static_cast<unsigned>(
-                    __builtin_popcount(g.fuGateMask[t]));
-            gatedFuCycles += per * rest;
-        }
-        if (cfg.gateLatches) {
-            std::uint64_t per = 0;
-            for (unsigned p = 0; p < kNumLatchPhases; ++p)
-                per += g.latchSlotsGated[p];
-            gatedLatchSlots += per * rest;
-        }
-        if (cfg.gateDcacheDecoders)
-            gatedPorts += std::uint64_t{g.dcachePortsGated} * rest;
-        if (cfg.gateResultBus)
-            gatedBuses += std::uint64_t{g.resultBusesGated} * rest;
+        std::uint64_t fus = 0;
+        for (unsigned t = 0; t < kNumFuTypes; ++t)
+            fus += static_cast<unsigned>(
+                __builtin_popcount(g.fuGateMask[t]));
+        gatedFuCycles += fus * rest;
+        std::uint64_t slots = 0;
+        for (unsigned p = 0; p < kNumLatchPhases; ++p)
+            slots += g.latchSlotsGated[p];
+        gatedLatchSlots += slots * rest;
+        gatedPorts += std::uint64_t{g.dcachePortsGated} * rest;
+        gatedBuses += std::uint64_t{g.resultBusesGated} * rest;
     }
     sink.chargeIdle(g, cycles);
 }

@@ -33,20 +33,19 @@
 
 namespace dcg {
 
-/** Per-component enables, for ablating DCG's gating targets. */
+/**
+ * DCG always gates its four targets — execution units, back-end
+ * latches, D-cache decoders and result buses (Sec 3); Figures 12-16
+ * report each target's saving separately.
+ */
 struct DcgConfig
 {
-    bool gateExecUnits = true;
-    bool gateLatches = true;
-    bool gateDcacheDecoders = true;
-    bool gateResultBus = true;
-
     /**
      * Extension: also gate empty issue-queue entries, after the
      * deterministic scheme of [6] (Folegnani & Gonzalez) that the
      * paper cites in Sec 2.2.2. Off by default — the paper's DCG
      * configuration leaves the issue queue alone; bench/ablation_iq
-     * measures the combination.
+     * measures the combination (dcgsim --gate-iq, JobSpec gate_iq).
      */
     bool gateIssueQueue = false;
 };

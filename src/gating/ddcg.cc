@@ -6,11 +6,18 @@
 
 namespace dcg {
 
+namespace {
+
+/** Switching fraction of an active slot's bits; the rest are gated. */
+constexpr double kBitActivityFactor = 0.45;
+/** Comparator energy per guarded bit per cycle, x latchBitCap. */
+constexpr double kCompareOverhead = 0.08;
+
+} // namespace
+
 DdcgController::DdcgController(const CoreConfig &core_cfg,
-                               const DdcgConfig &cfg_,
                                StatRegistry &stats)
     : coreCfg(core_cfg),
-      cfg(cfg_),
       gatedSlots(stats.counter("ddcg.gated_latch_slots",
                                "latch slot-cycles fully clock-gated"
                                " (zero flux)")),
@@ -18,11 +25,6 @@ DdcgController::DdcgController(const CoreConfig &core_cfg,
                                  "latch slot-cycles left clocked"
                                  " (bit-level gating applies)"))
 {
-    DCG_ASSERT(cfg.bitActivityFactor >= 0.0 &&
-               cfg.bitActivityFactor <= 1.0,
-               "DDCG bit activity factor out of range");
-    DCG_ASSERT(cfg.compareOverhead >= 0.0,
-               "negative DDCG comparator overhead");
 }
 
 GateState
@@ -30,10 +32,9 @@ DdcgController::gates(const CycleActivity &act)
 {
     GateState g;
 
+    // Every phase, front end included: the comparator needs no
+    // advance notice.
     for (unsigned p = 0; p < kNumLatchPhases; ++p) {
-        const auto phase = static_cast<LatchPhase>(p);
-        if (!cfg.gateAllPhases && !latchPhaseGateable(phase))
-            continue;
         DCG_ASSERT(act.latchFlux[p] <= coreCfg.issueWidth,
                    "latch flux exceeds machine width");
         // A slot with no in-flight value has D == Q on every bit: the
@@ -46,9 +47,9 @@ DdcgController::gates(const CycleActivity &act)
     }
 
     // Within clocked slots, only the switching bits see a clock edge.
-    g.latchBitGatedFraction = 1.0 - cfg.bitActivityFactor;
+    g.latchBitGatedFraction = 1.0 - kBitActivityFactor;
     // Every guarded bit pays its comparator, clocked or not.
-    g.latchCompareOverhead = cfg.compareOverhead;
+    g.latchCompareOverhead = kCompareOverhead;
     return g;
 }
 
@@ -79,18 +80,10 @@ const bool registered = schemes().add(
     {"ddcg",
      "data-driven clock gating (Sarkar et al., arXiv 1806.02271):"
      " per-latch next-state==state comparators, all pipeline phases",
-     {{"gate-all-phases",
-       "gate front-end latch phases too (comparators need no advance"
-       " notice)", "on"},
-      {"bit-activity-factor",
-       "switching-bit fraction within active latch slots", "0.45"},
-      {"compare-overhead",
-       "comparator energy per guarded bit, fraction of latchBitCap",
-       "0.08"}},
+     {},
      true},
     [](const SimConfig &cfg, StatRegistry &stats) {
-        return std::make_unique<DdcgController>(cfg.core, cfg.ddcg,
-                                                stats);
+        return std::make_unique<DdcgController>(cfg.core, stats);
     });
 
 } // namespace

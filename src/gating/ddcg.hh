@@ -17,20 +17,21 @@
  * Model: two deterministic terms per cycle.
  *  - Slot level: a slot with no in-flight value this cycle has D == Q
  *    for all its bits, so the whole slot's clock stays low — exactly
- *    width - flux slots per phase, for all phases when gateAllPhases.
+ *    width - flux slots in every phase.
  *  - Bit level: within clocked (active) slots, the fraction of bits
  *    whose next state differs is the switching activity of the data
- *    path; the remaining 1 - bitActivityFactor of bits are held. The
- *    activity factor is a fixed model parameter (operand bit-level
- *    simulation is outside this simulator's scope), so the decision
- *    stays deterministic and byte-stable.
+ *    path (kBitActivityFactor, 0.45, in ddcg.cc); the rest of the
+ *    bits are held. The activity factor is a fixed model parameter
+ *    (operand bit-level simulation is outside this simulator's
+ *    scope), so the decision stays deterministic and byte-stable.
  *
  * Both terms satisfy the determinism invariant by construction: a
  * gated slot has zero flux, and a gated bit is one whose next state
  * is unchanged — neither can be a "used" block. The comparator
- * overhead (compareOverhead x latchBitCap per guarded bit per cycle)
- * is charged to the DdcgCompare power component and counted inside
- * the Figure-14 latch group.
+ * overhead (kCompareOverhead, 0.08 x latchBitCap per guarded bit per
+ * cycle: an XOR plus a latch on the enable) is charged to the
+ * DdcgCompare power component and counted inside the Figure-14 latch
+ * group.
  *
  * DDCG gates only latches: execution units, D-cache decoders, result
  * buses and the issue queue all see baseline clocks.
@@ -44,34 +45,10 @@
 
 namespace dcg {
 
-struct DdcgConfig
-{
-    /**
-     * Gate every latch phase, not just the DCG-gateable back-end ones
-     * — the comparator needs no advance notice. Off restricts DDCG to
-     * the same phases DCG gates, for a like-for-like ablation.
-     */
-    bool gateAllPhases = true;
-
-    /**
-     * Fraction of bits in an *active* latch slot whose next state
-     * differs from the current one (data switching activity). The
-     * complement is bit-gated every cycle.
-     */
-    double bitActivityFactor = 0.45;
-
-    /**
-     * Comparator energy per guarded latch bit per cycle, as a
-     * fraction of latchBitCap (an XOR plus a latch on the enable).
-     */
-    double compareOverhead = 0.08;
-};
-
 class DdcgController : public GatingPolicy
 {
   public:
-    DdcgController(const CoreConfig &core_cfg, const DdcgConfig &cfg,
-                   StatRegistry &stats);
+    DdcgController(const CoreConfig &core_cfg, StatRegistry &stats);
 
     GateState gates(const CycleActivity &act) override;
 
@@ -82,7 +59,6 @@ class DdcgController : public GatingPolicy
 
   private:
     CoreConfig coreCfg;
-    DdcgConfig cfg;
 
     Counter &gatedSlots;
     Counter &clockedSlots;

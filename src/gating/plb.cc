@@ -8,41 +8,42 @@
 
 namespace dcg {
 
-namespace gating {
 namespace {
 
-const std::vector<SchemeKnob> plbKnobs = {
-    {"window-cycles", "sampling-window length", "256"},
-    {"ipc-threshold-low", "window IPC below this requests 4-wide",
-     "1.5"},
-    {"ipc-threshold-mid", "window IPC below this requests 6-wide",
-     "2.8"},
-    {"fp-ipc-guard", "FP IPC above this keeps the machine >= 6-wide",
-     "0.8"},
-    {"down-confirm-windows", "windows that must agree before narrowing",
-     "2"},
-};
+// Trigger calibration (see plb.hh).
+/** Window issue-IPC below this requests 4-wide mode. */
+constexpr double kIpcThresholdLow = 1.5;
+/** Window issue-IPC below this requests 6-wide mode. */
+constexpr double kIpcThresholdMid = 2.8;
+/** FP issue-IPC above this keeps the machine at >= 6-wide. */
+constexpr double kFpIpcGuard = 0.8;
+/** Mode history: windows that must agree before switching *down*
+ *  (switching up is immediate, as in [1]). */
+constexpr unsigned kDownConfirmWindows = 2;
+
+} // namespace
+
+namespace gating {
+namespace {
 
 const bool registeredOrig = schemes().add(
     {"plb-orig",
      "pipeline balancing (Bahar & Manne [1]): low-power issue modes"
      " gating disabled FUs and an issue-queue slice",
-     plbKnobs},
+     {}},
     [](const SimConfig &cfg, StatRegistry &stats) {
-        PlbConfig pc = cfg.plb;
-        pc.extended = false;
-        return std::make_unique<PlbController>(cfg.core, pc, stats);
+        return std::make_unique<PlbController>(cfg.core, cfg.plb, false,
+                                               stats);
     });
 
 const bool registeredExt = schemes().add(
     {"plb-ext",
      "extended pipeline balancing (paper Sec 4.3): plb-orig plus"
      " latch, D-cache port and result-bus gating",
-     plbKnobs},
+     {}},
     [](const SimConfig &cfg, StatRegistry &stats) {
-        PlbConfig pc = cfg.plb;
-        pc.extended = true;
-        return std::make_unique<PlbController>(cfg.core, pc, stats);
+        return std::make_unique<PlbController>(cfg.core, cfg.plb, true,
+                                               stats);
     });
 
 } // namespace
@@ -57,9 +58,11 @@ anchorPlbSchemeRegistration()
 } // namespace gating
 
 PlbController::PlbController(const CoreConfig &core_cfg,
-                             const PlbConfig &cfg_, StatRegistry &stats)
+                             const PlbConfig &cfg_, bool extended_,
+                             StatRegistry &stats)
     : coreCfg(core_cfg),
       cfg(cfg_),
+      extended(extended_),
       windows8(stats.counter("plb.windows_8wide",
                              "windows spent in 8-wide mode")),
       windows6(stats.counter("plb.windows_6wide",
@@ -76,13 +79,13 @@ unsigned
 PlbController::desiredMode(double ipc, double fp_ipc) const
 {
     unsigned want = 8;
-    if (ipc < cfg.ipcThresholdMid)
+    if (ipc < kIpcThresholdMid)
         want = 6;
-    if (ipc < cfg.ipcThresholdLow)
+    if (ipc < kIpcThresholdLow)
         want = 4;
     // Secondary trigger: heavy FP traffic needs the wide FP cluster
     // slice, so never drop to 4-wide under it.
-    if (want == 4 && fp_ipc > cfg.fpIpcGuard)
+    if (want == 4 && fp_ipc > kFpIpcGuard)
         want = 6;
     return want;
 }
@@ -117,7 +120,7 @@ PlbController::beginCycle(Core &core)
             pendingDownMode = want;
             pendingDownCount = 1;
         }
-        if (pendingDownCount >= cfg.downConfirmWindows) {
+        if (pendingDownCount >= kDownConfirmWindows) {
             next = want;
             pendingDownCount = 0;
         }
@@ -152,8 +155,7 @@ PlbController::applyMode(Core &core, unsigned mode)
         core.setFuEnabledCount(FuType::FpAluUnit, 3);
         core.setFuEnabledCount(FuType::FpMulDivUnit, 3);
         core.setDcachePortLimit(coreCfg.dcachePorts);
-        core.setResultBusLimit(cfg.extended ? 6
-                                            : coreCfg.numResultBuses);
+        core.setResultBusLimit(extended ? 6 : coreCfg.numResultBuses);
         break;
       case 4:
         // Sec 4.3: disable 3 intALU, 1 int mul/div, 2 FPUs, 2 FP
@@ -162,9 +164,8 @@ PlbController::applyMode(Core &core, unsigned mode)
         core.setFuEnabledCount(FuType::IntMulDivUnit, 1);
         core.setFuEnabledCount(FuType::FpAluUnit, 2);
         core.setFuEnabledCount(FuType::FpMulDivUnit, 2);
-        core.setDcachePortLimit(cfg.extended ? 1 : coreCfg.dcachePorts);
-        core.setResultBusLimit(cfg.extended ? 4
-                                            : coreCfg.numResultBuses);
+        core.setDcachePortLimit(extended ? 1 : coreCfg.dcachePorts);
+        core.setResultBusLimit(extended ? 4 : coreCfg.numResultBuses);
         break;
       default:
         break;
@@ -214,7 +215,7 @@ PlbController::gates(const CycleActivity &act)
     g.iqGatedFraction = static_cast<double>(disabled_slots) /
                         static_cast<double>(coreCfg.issueWidth);
 
-    if (cfg.extended) {
+    if (extended) {
         for (unsigned p = 0; p < kNumLatchPhases; ++p) {
             const std::uint8_t free_slots = static_cast<std::uint8_t>(
                 coreCfg.issueWidth - act.latchFlux[p]);

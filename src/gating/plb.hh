@@ -15,9 +15,10 @@
  *    proportional slice of the issue queue; PLB-ext additionally gates
  *    latch slices, the D-cache decoder port and result buses.
  *
- * Exact trigger thresholds are not published; the values below are our
- * calibration (see DESIGN.md Sec 2) chosen to land PLB in the paper's
- * reported band (~3 % performance loss, ~6 % / ~10 % power savings).
+ * Exact trigger thresholds are not published; the constants in plb.cc
+ * are our calibration (see DESIGN.md Sec 2) chosen to land PLB in the
+ * paper's reported band (~3 % performance loss, ~6 % / ~10 % power
+ * savings).
  */
 
 #ifndef DCG_GATING_PLB_HH
@@ -30,36 +31,25 @@ namespace dcg {
 
 struct PlbConfig
 {
+    /** Sampling-window length (bench/ablation_plb_window sweeps it). */
     unsigned windowCycles = 256;
-
-    /** Window issue-IPC below this requests 4-wide mode. */
-    double ipcThresholdLow = 1.5;
-    /** Window issue-IPC below this requests 6-wide mode. */
-    double ipcThresholdMid = 2.8;
-    /** FP issue-IPC above this keeps the machine at >= 6-wide. */
-    double fpIpcGuard = 0.8;
-
-    /**
-     * Mode history: consecutive windows that must agree before
-     * switching *down* (switching up is immediate, as in [1]).
-     */
-    unsigned downConfirmWindows = 2;
-
-    /** PLB-ext gates latches/D-cache/result buses too (Sec 4.3). */
-    bool extended = false;
 };
 
 class PlbController : public GatingPolicy
 {
   public:
+    /**
+     * @param extended  PLB-ext: also gate latches, one D-cache port
+     *                  and result buses (Sec 4.3); false is PLB-orig.
+     */
     PlbController(const CoreConfig &core_cfg, const PlbConfig &cfg,
-                  StatRegistry &stats);
+                  bool extended, StatRegistry &stats);
 
     void beginCycle(Core &core) override;
     GateState gates(const CycleActivity &act) override;
 
     const char *name() const override
-    { return cfg.extended ? "plb-ext" : "plb-orig"; }
+    { return extended ? "plb-ext" : "plb-orig"; }
 
     /** Current issue mode (8, 6 or 4). */
     unsigned mode() const { return curMode; }
@@ -70,6 +60,7 @@ class PlbController : public GatingPolicy
 
     CoreConfig coreCfg;
     PlbConfig cfg;
+    bool extended;
 
     unsigned curMode = 8;
     unsigned pendingDownMode = 8;

@@ -5,23 +5,27 @@
  * A scheme is one file and one registration: the scheme's translation
  * unit self-registers a SchemeInfo (name, one-line description with
  * paper provenance, config knobs) plus a factory that builds its
- * GatingPolicy from a SimConfig. Everything that enumerates or selects
- * schemes — dcgsim (--scheme validation, --list-schemes, usage text),
- * the figure/ablation drivers, exp::Grid expansion, JobSpec
- * validation on the wire, and the report layer's results schema — goes
- * through schemes(), so adding a scheme never touches a switch
- * statement.
+ * GatingPolicy from a SimConfig.
+ *
+ * A scheme lists a knob only when a dcgsim flag and a serve::JobSpec
+ * field set it (today: dcg's gate-iq). A value nothing sets is a named
+ * constant in the scheme's .cc, not a SimConfig field or a knob.
+ *
+ * Everything that enumerates or selects schemes — dcgsim (--scheme
+ * validation, --list-schemes, usage text), the figure/ablation
+ * drivers, exp::Grid expansion, JobSpec validation on the wire, and
+ * the report layer's results schema — goes through schemes(), so
+ * adding a scheme never touches a switch statement.
  *
  * Registration pattern (in the scheme's .cc; the table, its lookups
  * and its refusals are common/registry.hh's):
  *
  *     namespace { const bool registered = schemes().add(
  *         {"myscheme", "what it gates (Paper et al.)",
- *          {{"knob", "what it does", "default"}},
+ *          {},      // knobs; see above
  *          false},  // timingNeutral; see SchemeInfo
  *         [](const SimConfig &cfg, StatRegistry &stats) {
- *             return std::make_unique<MyController>(cfg.core,
- *                                                   cfg.myscheme, stats);
+ *             return std::make_unique<MyController>(cfg.core, stats);
  *         }); }
  *     void anchorMySchemeRegistration() {}
  *

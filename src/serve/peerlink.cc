@@ -77,8 +77,6 @@ PeerPool::~PeerPool()
 unsigned
 PeerPool::connectTimeoutMs() const
 {
-    if (opts.connectTimeoutMs)
-        return opts.connectTimeoutMs;
     if (opts.peerTimeoutMs)
         return opts.peerTimeoutMs;
     return kDefaultConnectTimeoutMs;

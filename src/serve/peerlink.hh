@@ -73,12 +73,11 @@ class PeerPool
   public:
     struct Options
     {
-        /** Per-request deadline (0 = none). */
+        /** Per-request deadline (0 = none). Also bounds connection
+         *  establishment, which falls back to 10s when this is 0 — a
+         *  blackholed peer must never pin a request for the kernel
+         *  default. */
         unsigned peerTimeoutMs = 0;
-        /** Bound on connection establishment. 0 derives it from
-         *  peerTimeoutMs, falling back to 10s — a blackholed peer
-         *  must never pin a request for the kernel default. */
-        unsigned connectTimeoutMs = 0;
         /** Called (from any thread) when the owner loop must wake to
          *  process injected work. */
         std::function<void()> wake;

@@ -25,9 +25,8 @@
  * empty disk serve its keys with zero re-simulations as long as one
  * replica survives.
  *
- * Lifecycle calls (entries/bytes/evictTo/compact) pass straight
- * through to the local store: replica records are ordinary records
- * there, budgeted and compacted exactly once.
+ * Replica records are ordinary records in the local store, so the
+ * server budgets and compacts them there exactly once.
  *
  * Routing follows the server's ring epochs: the constructor takes the
  * current EpochView and setEpochViews() installs every later one. The
@@ -100,27 +99,6 @@ class ReplicatedStore : public exp::ResultStoreBase
         override DCG_ANY_THREAD;
     void put(const std::string &key, const RunResult &r)
         override DCG_ANY_THREAD;
-
-    /// @name exp::StoreLifecycle (pass-through to the local store)
-    /// @{
-    std::size_t entries() const override DCG_ANY_THREAD
-    {
-        return local->entries();
-    }
-    std::uint64_t bytes() const override DCG_ANY_THREAD
-    {
-        return local->bytes();
-    }
-    std::size_t evictTo(std::uint64_t budgetBytes)
-        override DCG_ANY_THREAD
-    {
-        return local->evictTo(budgetBytes);
-    }
-    std::size_t compact() override DCG_ANY_THREAD
-    {
-        return local->compact();
-    }
-    /// @}
 
     /** Block until every queued fan-out push has been attempted. */
     void flush() DCG_ANY_THREAD;

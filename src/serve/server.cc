@@ -1647,7 +1647,7 @@ Server::statsJson() const
     s.set("cache_bytes", JsonValue::integer(eng.bytes()));
     if (store) {
         s.set("store_records",
-              JsonValue::integer(std::uint64_t{store->size()}));
+              JsonValue::integer(std::uint64_t{store->entries()}));
         s.set("store_bytes", JsonValue::integer(store->bytes()));
         s.set("store_corrupt",
               JsonValue::integer(store->corruptRecords()));

@@ -67,10 +67,10 @@
  * engine's in-memory cache (Engine::tryCached) and completes such jobs
  * immediately. With a ResultStore attached, results additionally
  * survive restarts — a cold process serves a previously-seen grid
- * entirely from disk (stats report 0 simulations). Both layers share
- * the exp::StoreLifecycle seam: storeBudgetBytes/cacheBudgetBytes put
- * LRU bounds on the persistent store and the in-memory cache, and the
- * store is compacted once at startup and on {"op":"compact"}.
+ * entirely from disk (stats report 0 simulations).
+ * storeBudgetBytes/cacheBudgetBytes put LRU bounds on the persistent
+ * store and the in-memory cache, and the store is compacted once at
+ * startup and on {"op":"compact"}.
  *
  * Elastic membership: the cluster's member list is a
  * *versioned ring epoch* — a monotonically increasing epoch id plus

@@ -18,8 +18,7 @@
  *    collision, detected via the stored key) is treated as a miss —
  *    the engine re-simulates and put() repairs the record in place.
  *
- * Lifecycle (the exp::StoreLifecycle seam, shared with the Engine's
- * in-memory cache):
+ * Lifecycle:
  *  - every record carries a last-access stamp (seeded from file
  *    mtimes at open, bumped in memory on get/put), and evictTo()
  *    removes least-recently-used records until the store fits a byte
@@ -92,13 +91,22 @@ class ResultStore : public exp::ResultStoreBase
         return replicas.load();
     }
 
-    /// @name exp::StoreLifecycle
+    /// @name Lifecycle
     /// @{
-    std::size_t entries() const override DCG_ANY_THREAD;
-    std::uint64_t bytes() const override DCG_ANY_THREAD;
-    std::size_t evictTo(std::uint64_t budgetBytes)
-        override DCG_ANY_THREAD;
-    std::size_t compact() override DCG_ANY_THREAD;
+    /** Records currently on disk. */
+    std::size_t entries() const DCG_ANY_THREAD;
+    /** Bytes the records occupy on disk. */
+    std::uint64_t bytes() const DCG_ANY_THREAD;
+    /**
+     * Evict least-recently-used records until bytes() <= @p budget;
+     * evictTo(0) empties the store. Returns the records evicted.
+     */
+    std::size_t evictTo(std::uint64_t budgetBytes) DCG_ANY_THREAD;
+    /**
+     * Garbage-collect the directory (see the file comment); returns
+     * the objects removed or repaired.
+     */
+    std::size_t compact() DCG_ANY_THREAD;
     /// @}
 
     /**
@@ -107,10 +115,6 @@ class ResultStore : public exp::ResultStoreBase
      */
     void setBudgetBytes(std::uint64_t budget) DCG_ANY_THREAD;
     std::uint64_t budgetBytes() const DCG_ANY_THREAD;
-
-    /** Records currently on disk (alias of entries(), kept for the
-     *  original observability surface). */
-    std::size_t size() const DCG_ANY_THREAD { return entries(); }
 
     /** Corrupt/foreign records encountered by get() so far. */
     std::uint64_t corruptRecords() const DCG_ANY_THREAD

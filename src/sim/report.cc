@@ -425,7 +425,6 @@ statRegistryCatalog()
         {"dcache.accesses", "L1D cache accesses"},
         {"dcache.misses", "L1D cache misses"},
         {"dcache.mshr_stalls", "L1D stalls on a full MSHR"},
-        {"dcache.prefetches", "L1D prefetches issued"},
         {"dcache.writebacks", "L1D dirty-line writebacks"},
         {"dcg.gated_dcache_ports", "D-cache port-cycles clock-gated"},
         {"dcg.gated_fu_cycles", "FU instance-cycles clock-gated"},
@@ -440,12 +439,10 @@ statRegistryCatalog()
         {"icache.accesses", "L1I cache accesses"},
         {"icache.misses", "L1I cache misses"},
         {"icache.mshr_stalls", "L1I stalls on a full MSHR"},
-        {"icache.prefetches", "L1I prefetches issued"},
         {"icache.writebacks", "L1I dirty-line writebacks"},
         {"l2.accesses", "L2 cache accesses"},
         {"l2.misses", "L2 cache misses"},
         {"l2.mshr_stalls", "L2 stalls on a full MSHR"},
-        {"l2.prefetches", "L2 prefetches issued"},
         {"l2.writebacks", "L2 dirty-line writebacks"},
         {"mem.accesses", "main memory accesses"},
         {"plb.mode_transitions", "issue-mode changes"},

@@ -39,9 +39,7 @@
 #include "branch/predictor.hh"
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
-#include "gating/cgooo.hh"
 #include "gating/dcg.hh"
-#include "gating/ddcg.hh"
 #include "gating/plb.hh"
 #include "gating/policy.hh"
 #include "pipeline/core.hh"
@@ -68,8 +66,6 @@ struct SimConfig
     /// @{
     DcgConfig dcg;
     PlbConfig plb;
-    DdcgConfig ddcg;
-    CgoooConfig cgooo;
     /// @}
 
     std::uint64_t seed = 1;

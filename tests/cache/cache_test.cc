@@ -219,34 +219,6 @@ TEST(Cache, GenerousMshrsDoNotQueueModestTraffic)
     EXPECT_EQ(h.stats.lookup("c.mshr_stalls"), 0.0);
 }
 
-TEST(Cache, NextLinePrefetchCutsStreamMisses)
-{
-    Harness h1, h2;
-    CacheGeometry plain{4096, 2, 32, 2};
-    CacheGeometry pf = plain;
-    pf.nextLinePrefetch = true;
-    Cache a("a", plain, &h1.mem, h1.stats);
-    Cache b("b", pf, &h2.mem, h2.stats);
-    // Sequential stream over 64KB.
-    Cycle t = 0;
-    for (Addr addr = 0; addr < 64 * 1024; addr += 8) {
-        a.access(addr, false, t);
-        b.access(addr, false, t);
-        t += 150;  // beyond the fill latency: only residency matters
-    }
-    EXPECT_LT(b.numMisses(), a.numMisses() / 2 + 8);
-    EXPECT_GT(b.numPrefetches(), 0u);
-}
-
-TEST(Cache, PrefetchDoesNotChargeRequester)
-{
-    Harness h;
-    CacheGeometry g{4096, 2, 32, 2};
-    g.nextLinePrefetch = true;
-    Cache c("c", g, &h.mem, h.stats);
-    EXPECT_EQ(c.access(0x1000, false, 0), 102u);  // demand latency only
-}
-
 TEST(Cache, WarmLineInstallsWithoutStats)
 {
     Harness h;

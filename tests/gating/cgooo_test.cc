@@ -15,9 +15,9 @@ using namespace dcg;
 namespace {
 
 CgoooController
-makeController(StatRegistry &stats, CgoooConfig cfg = {})
+makeController(StatRegistry &stats)
 {
-    return CgoooController(CoreConfig{}, cfg, stats);
+    return CgoooController(CoreConfig{}, stats);
 }
 
 } // namespace
@@ -72,15 +72,13 @@ TEST(Cgooo, NeverGatesAResidentBlock)
 TEST(Cgooo, SchedulerOverheadScalesWithActiveBlocks)
 {
     StatRegistry stats;
-    CgoooConfig cfg;
-    cfg.schedOverhead = 0.10;
-    CgoooController ctl = makeController(stats, cfg);
+    CgoooController ctl = makeController(stats);
 
     CycleActivity act;
     act.iqOccupied = 0;
-    EXPECT_DOUBLE_EQ(ctl.gates(act).iqSchedOverhead, 0.10 / 8.0);
+    EXPECT_DOUBLE_EQ(ctl.gates(act).iqSchedOverhead, 0.04 / 8.0);
     act.iqOccupied = 128;
-    EXPECT_DOUBLE_EQ(ctl.gates(act).iqSchedOverhead, 0.10);
+    EXPECT_DOUBLE_EQ(ctl.gates(act).iqSchedOverhead, 0.04);
 }
 
 TEST(Cgooo, LeavesEverythingOutsideTheQueueAlone)
@@ -99,18 +97,6 @@ TEST(Cgooo, LeavesEverythingOutsideTheQueueAlone)
     EXPECT_FALSE(g.dcgControlActive);
 }
 
-TEST(Cgooo, BlockSizeChangesGranularity)
-{
-    StatRegistry stats;
-    CgoooConfig fine;
-    fine.blockSize = 8;  // 16 blocks
-    CgoooController ctl = makeController(stats, fine);
-    CycleActivity act;
-    act.iqOccupied = 40;  // + 8 reserve = 48 -> 6 of 16 blocks
-    const GateState g = ctl.gates(act);
-    EXPECT_DOUBLE_EQ(g.iqGatedFraction, 10.0 / 16.0);
-}
-
 TEST(Cgooo, ZeroPerformanceImpactAndIqSavings)
 {
     // Block gating observes occupancy without stalling the pipeline,
@@ -124,7 +110,7 @@ TEST(Cgooo, ZeroPerformanceImpactAndIqSavings)
         MemoryHierarchy mem(HierarchyConfig{}, stats);
         BranchPredictor bp(BranchPredictorConfig{}, stats);
         Core core(CoreConfig{}, gen, mem, bp, stats);
-        CgoooController ctl(CoreConfig{}, CgoooConfig{}, stats);
+        CgoooController ctl(CoreConfig{}, stats);
         PowerModel pm(CoreConfig{}, Technology{}, stats);
         for (int i = 0; i < 30000; ++i) {
             core.tick();

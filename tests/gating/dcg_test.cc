@@ -112,23 +112,6 @@ TEST(Dcg, ControlOverheadAlwaysCharged)
                     .dcgControlActive);
 }
 
-TEST(Dcg, ConfigDisablesComponentClasses)
-{
-    StatRegistry stats;
-    DcgConfig cfg;
-    cfg.gateExecUnits = false;
-    cfg.gateResultBus = false;
-    DcgController ctl(CoreConfig{}, cfg, stats);
-    const GateState g = ctl.gates(CycleActivity{});
-    for (unsigned t = 0; t < kNumFuTypes; ++t)
-        EXPECT_EQ(g.fuGateMask[t], 0u);
-    EXPECT_EQ(g.resultBusesGated, 0u);
-    // Latches and D-cache still gated.
-    EXPECT_GT(g.latchSlotsGated[static_cast<unsigned>(
-        LatchPhase::ExecOut)], 0u);
-    EXPECT_EQ(g.dcachePortsGated, CoreConfig{}.dcachePorts);
-}
-
 TEST(Dcg, ZeroPerformanceImpact)
 {
     // Bit-exact IPC: DCG observes the pipeline but never stalls it.

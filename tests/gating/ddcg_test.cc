@@ -16,13 +16,12 @@ namespace {
 
 struct DdcgRig
 {
-    explicit DdcgRig(const std::string &bench, DdcgConfig cfg = {},
-                     std::uint64_t seed = 1)
+    explicit DdcgRig(const std::string &bench, std::uint64_t seed = 1)
         : gen(profileByName(bench), seed),
           mem(HierarchyConfig{}, stats),
           bpred(BranchPredictorConfig{}, stats),
           core(CoreConfig{}, gen, mem, bpred, stats),
-          controller(CoreConfig{}, cfg, stats)
+          controller(CoreConfig{}, stats)
     {
     }
 
@@ -69,21 +68,6 @@ TEST(Ddcg, GatesEveryIdleSlotInEveryPhase)
     }
 }
 
-TEST(Ddcg, RestrictedModeMatchesDcgPhases)
-{
-    DdcgConfig cfg;
-    cfg.gateAllPhases = false;
-    DdcgRig rig("gzip", cfg);
-    for (int i = 0; i < 5000; ++i) {
-        rig.core.tick();
-        const GateState g = rig.controller.gates(rig.core.activity());
-        for (unsigned p = 0; p < kNumLatchPhases; ++p) {
-            if (!latchPhaseGateable(static_cast<LatchPhase>(p)))
-                EXPECT_EQ(g.latchSlotsGated[p], 0u);
-        }
-    }
-}
-
 TEST(Ddcg, ChargesComparatorAndBitGating)
 {
     DdcgRig rig("gzip");
@@ -104,8 +88,8 @@ TEST(Ddcg, ZeroPerformanceImpact)
 {
     // Like DCG, the comparators observe the datapath without stalling
     // it: committed-instruction counts are bit-exact with and without.
-    DdcgRig with_ddcg("parser", DdcgConfig{}, 3);
-    DdcgRig without("parser", DdcgConfig{}, 3);
+    DdcgRig with_ddcg("parser", 3);
+    DdcgRig without("parser", 3);
     PowerModel pm(CoreConfig{}, Technology{}, with_ddcg.stats);
     for (int i = 0; i < 40000; ++i) {
         with_ddcg.core.tick();
@@ -129,7 +113,7 @@ TEST(Ddcg, SavesLatchEnergyNetOfComparators)
         MemoryHierarchy mem(HierarchyConfig{}, stats);
         BranchPredictor bp(BranchPredictorConfig{}, stats);
         Core core(CoreConfig{}, gen, mem, bp, stats);
-        DdcgController ctl(CoreConfig{}, DdcgConfig{}, stats);
+        DdcgController ctl(CoreConfig{}, stats);
         PowerModel pm(CoreConfig{}, Technology{}, stats);
         for (int i = 0; i < 30000; ++i) {
             core.tick();

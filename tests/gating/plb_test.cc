@@ -30,12 +30,12 @@ feedWindows(PlbController &ctl, Core &core, unsigned issued_per_cycle,
 
 struct Rig
 {
-    explicit Rig(PlbConfig pc = PlbConfig{})
+    explicit Rig(bool extended = false)
         : gen(profileByName("gzip"), 1),
           mem(HierarchyConfig{}, stats),
           bpred(BranchPredictorConfig{}, stats),
           core(CoreConfig{}, gen, mem, bpred, stats),
-          ctl(CoreConfig{}, pc, stats)
+          ctl(CoreConfig{}, PlbConfig{}, extended, stats)
     {
     }
 
@@ -113,9 +113,7 @@ TEST(Plb, FourWideDisablesTable43Resources)
 
 TEST(Plb, ExtendedVariantDropsPortAndBuses)
 {
-    PlbConfig pc;
-    pc.extended = true;
-    Rig rig(pc);
+    Rig rig(true);
     feedWindows(rig.ctl, rig.core, 1, 4);
     ASSERT_EQ(rig.ctl.mode(), 4u);
     EXPECT_EQ(rig.core.dcachePortLimit(), 1u);
@@ -156,9 +154,7 @@ TEST(Plb, GatesDisabledUnitsAndIqSlice)
 
 TEST(Plb, ExtGatesLatchesPortsBuses)
 {
-    PlbConfig pc;
-    pc.extended = true;
-    Rig rig(pc);
+    Rig rig(true);
     feedWindows(rig.ctl, rig.core, 1, 4);
     ASSERT_EQ(rig.ctl.mode(), 4u);
     CycleActivity idle;
@@ -171,9 +167,7 @@ TEST(Plb, ExtGatesLatchesPortsBuses)
 
 TEST(Plb, NeverGatesBusyUnitsEvenWhenDisabled)
 {
-    PlbConfig pc;
-    pc.extended = true;
-    Rig rig(pc);
+    Rig rig(true);
     feedWindows(rig.ctl, rig.core, 1, 4);
     ASSERT_EQ(rig.ctl.mode(), 4u);
     // A disabled unit still draining a pre-switch op must not be gated.
@@ -201,10 +195,8 @@ TEST(Plb, WindowAndTransitionStatsWired)
 TEST(Plb, NamesDistinguishVariants)
 {
     StatRegistry s1, s2;
-    PlbConfig orig, ext;
-    ext.extended = true;
-    PlbController a(CoreConfig{}, orig, s1);
-    PlbController b(CoreConfig{}, ext, s2);
+    PlbController a(CoreConfig{}, PlbConfig{}, false, s1);
+    PlbController b(CoreConfig{}, PlbConfig{}, true, s2);
     EXPECT_STREQ(a.name(), "plb-orig");
     EXPECT_STREQ(b.name(), "plb-ext");
 }

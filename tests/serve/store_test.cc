@@ -64,7 +64,7 @@ TEST(ResultStore, PutGetRoundTripsBitExactly)
 {
     const std::string dir = freshDir("roundtrip");
     ResultStore store(dir);
-    EXPECT_EQ(store.size(), 0u);
+    EXPECT_EQ(store.entries(), 0u);
 
     Engine engine(1);
     const Job job = smallJob("gzip", "dcg");
@@ -74,7 +74,7 @@ TEST(ResultStore, PutGetRoundTripsBitExactly)
     RunResult out;
     EXPECT_FALSE(store.get(key, out));
     store.put(key, r);
-    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.entries(), 1u);
     ASSERT_TRUE(store.get(key, out));
     EXPECT_EQ(asJson(r), asJson(out));
     EXPECT_EQ(store.corruptRecords(), 0u);
@@ -98,7 +98,7 @@ TEST(ResultStore, RecordsPersistAcrossInstances)
     // A brand-new instance (a "restarted service") indexes and serves
     // the record written by the previous one.
     ResultStore reopened(dir);
-    EXPECT_EQ(reopened.size(), 1u);
+    EXPECT_EQ(reopened.entries(), 1u);
     RunResult out;
     ASSERT_TRUE(reopened.get(key, out));
     EXPECT_EQ(asJson(r), asJson(out));
@@ -118,7 +118,7 @@ TEST(ResultStore, DistinctKeysGetDistinctRecords)
 
     store.put(jobKey(a), engine.runOne(a));
     store.put(jobKey(b), engine.runOne(b));
-    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(store.entries(), 2u);
 
     RunResult out;
     ASSERT_TRUE(store.get(jobKey(a), out));
@@ -217,7 +217,7 @@ TEST(ResultStore, EngineServesWarmStoreWithoutSimulating)
     // answered by disk; zero simulations run.
     Engine warm(2);
     auto store = std::make_shared<ResultStore>(dir);
-    EXPECT_EQ(store->size(), 2u);
+    EXPECT_EQ(store->entries(), 2u);
     warm.attachStore(store);
     RunOutcome outcome = RunOutcome::Simulated;
     const RunResult ra = warm.runOne(a, &outcome);
