@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <mutex>
 #include <set>
 
 #include "common/log.hh"
@@ -29,16 +30,9 @@ constexpr unsigned kMaxBusyRetries = 600;
 /** Jobs in flight at once during a pipelined runJobs() fan-out. */
 constexpr std::size_t kPipelineWindow = 128;
 
-/** Route key for a validated spec: the engine's content address. */
-std::string
-specRouteKey(const JobSpec &spec)
-{
-    return exp::jobKey(spec.toJob());
-}
-
 /**
  * A response whose failure is the *node's* fault, not the request's:
- * worth retrying on another replica candidate. "draining" is a node on
+ * worth retrying on the key's next node. "draining" is a node on
  * its way out; "forward_failed" is a node that could not reach the
  * key's owner.
  */
@@ -247,9 +241,8 @@ Connection::roundTrip(const JsonValue &req, JsonValue &resp,
 // ---------------------------------------------------------------- //
 
 ClusterClient::ClusterClient(std::vector<Endpoint> endpoints,
-                             unsigned replicaCount, unsigned timeout)
-    : eps(std::move(endpoints)), replicas(replicaCount),
-      timeoutMs(timeout)
+                             unsigned timeout)
+    : eps(std::move(endpoints)), timeoutMs(timeout)
 {
     if (eps.empty())
         fatal("client: empty server endpoint list");
@@ -283,77 +276,25 @@ ClusterClient::connect()
             ++up;
             continue;
         }
-        // With failover available a down node is survivable — the
-        // ring still names live candidates for every key.
-        if (replicas > 1 && eps.size() > 1)
-            warn("client: ", err, " (will fail over)");
-        else
+        // Another node can take a down node's jobs: the ring names
+        // every node as a candidate for every key.
+        if (eps.size() == 1)
             fatal(err);
+        warn("client: ", err, " (will fail over)");
     }
     if (up == 0)
         fatal("client: no server endpoint is reachable");
 }
 
-std::uint64_t
-ClusterClient::failovers() const
-{
-    std::lock_guard<std::mutex> lock(routeMutex);
-    return failoverCount;
-}
-
-std::uint64_t
-ClusterClient::readRepairs() const
-{
-    std::lock_guard<std::mutex> lock(routeMutex);
-    return readRepairCount;
-}
-
-std::size_t
-ClusterClient::nodeFor(const std::string &key) const
-{
-    if (key.empty() || eps.size() == 1)
-        return 0;
-    const std::size_t pos = routePosOf(key);
-    if (pos == 0)
-        return ring.ownerIndex(key);
-    return ring.ownerIndices(key, eps.size())[pos];
-}
-
-std::size_t
-ClusterClient::routePosOf(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(routeMutex);
-    const auto it = routePos.find(key);
-    return it == routePos.end() ? 0 : it->second;
-}
-
-bool
-ClusterClient::advanceRoute(const std::string &routeKey)
-{
-    if (replicas <= 1 || routeKey.empty() || eps.size() <= 1)
-        return false;
-    std::lock_guard<std::mutex> lock(routeMutex);
-    std::size_t &pos = routePos[routeKey];
-    if (pos + 1 >= eps.size())
-        return false;
-    ++pos;
-    ++failoverCount;
-    return true;
-}
-
 JsonValue
-ClusterClient::roundTrip(const JsonValue &req,
-                         const std::string &routeKey)
+ClusterClient::roundTrip(const JsonValue &req)
 {
     // The link layer stamps the protocol version and request id.
-    for (;;) {
-        JsonValue resp;
-        std::string err;
-        if (pool().callSync(nodeFor(routeKey), req, resp, err))
-            return resp;
-        if (!advanceRoute(routeKey))
-            fatal(err);
-    }
+    JsonValue resp;
+    std::string err;
+    if (!pool().callSync(0, req, resp, err))
+        fatal(err);
+    return resp;
 }
 
 JsonValue
@@ -396,7 +337,9 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
     /** One pipelined job's progress, guarded by Board::m. */
     struct JobSt
     {
-        std::string key;
+        /** Node indices in the key's ring order, owner first. */
+        std::vector<std::size_t> nodes;
+        std::size_t pos = 0;  ///< the node currently tried
         JsonValue resp = JsonValue::null();  ///< done response
         unsigned busy = 0;
     };
@@ -410,15 +353,17 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
         std::vector<JobSt> jobs;
         std::size_t next = 0;     ///< first job not yet launched
         std::size_t live = 0;     ///< launched, not yet settled
-        std::size_t repairs = 0;  ///< read-repair pushes in flight
         bool failed = false;
         std::string failMsg;
     };
 
     auto bd = std::make_shared<Board>();
     bd->jobs.resize(n);
+    // Route by the engine's content address: the key the servers'
+    // rings place.
     for (std::size_t i = 0; i < n; ++i)
-        bd->jobs[i].key = specRouteKey(specs[i]);
+        bd->jobs[i].nodes =
+            ring.ownerIndices(exp::jobKey(specs[i].toJob()), eps.size());
 
     PeerPool &p = pool();
 
@@ -439,7 +384,8 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
                 bd->cv.notify_all();
                 return;
             }
-            idx = nodeFor(bd->jobs[i].key);
+            const JobSt &job = bd->jobs[i];
+            idx = job.nodes[job.pos];
         }
 
         JsonValue req = JsonValue::object();
@@ -459,6 +405,17 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
                 --bd->live;
                 bd->cv.notify_all();
             };
+            // Resubmit to the next node in the key's ring order; it
+            // walks the key's holders. False when every node failed.
+            const auto failOver = [&] {
+                if (job.pos + 1 >= job.nodes.size())
+                    return false;
+                ++job.pos;
+                ++failoverCount;
+                lk.unlock();
+                (*launch)(i);
+                return true;
+            };
 
             if (bd->failed) {
                 --bd->live;
@@ -467,34 +424,14 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
             }
 
             if (!r.transportOk) {
-                if (advanceRoute(job.key)) {
-                    lk.unlock();
-                    (*launch)(i);
-                    return;
-                }
-                fail("job " + std::to_string(i + 1) + ": " + r.error);
+                if (!failOver())
+                    fail("job " + std::to_string(i + 1) + ": " +
+                         r.error);
                 return;
             }
 
             if (r.resp.get("ok").asBool(false)) {
                 job.resp = std::move(r.resp);
-
-                // Served by a failover candidate: push the record
-                // back to the primary (client-driven read-repair),
-                // awaited before runJobs() returns.
-                bool repair = false;
-                JsonValue push;
-                std::size_t primary = 0;
-                if (replicas > 1 && routePosOf(job.key) > 0) {
-                    push = JsonValue::object();
-                    push.set("op", JsonValue::string("replicate"));
-                    push.set("key", JsonValue::string(job.key));
-                    push.set("result", job.resp.get("result"));
-                    primary = ring.ownerIndex(job.key);
-                    repair = true;
-                    ++bd->repairs;
-                }
-
                 --bd->live;
                 bool hasNext = false;
                 std::size_t next = 0;
@@ -505,19 +442,6 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
                 }
                 bd->cv.notify_all();
                 lk.unlock();
-
-                if (repair)
-                    p.post(primary, std::move(push),
-                           [this, bd](PeerReply rr) {
-                        std::lock_guard<std::mutex> g(bd->m);
-                        if (rr.transportOk &&
-                            rr.resp.get("ok").asBool(false)) {
-                            std::lock_guard<std::mutex> rl(routeMutex);
-                            ++readRepairCount;
-                        }
-                        --bd->repairs;
-                        bd->cv.notify_all();
-                    });
                 if (hasNext)
                     (*launch)(next);
                 return;
@@ -541,11 +465,8 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
                     [launch, i] { (*launch)(i); });
                 return;
             }
-            if (failedOverable(code) && advanceRoute(job.key)) {
-                lk.unlock();
-                (*launch)(i);
+            if (failedOverable(code) && failOver())
                 return;
-            }
             fail("server failed job " + std::to_string(i + 1) + " (" +
                  code + "): " + r.resp.get("detail").asString());
         });
@@ -564,8 +485,7 @@ ClusterClient::runJobs(const std::vector<JobSpec> &specs)
     {
         std::unique_lock<std::mutex> lk(bd->m);
         bd->cv.wait(lk, [&] {
-            return bd->live == 0 && bd->repairs == 0 &&
-                   (bd->failed || bd->next >= n);
+            return bd->live == 0 && (bd->failed || bd->next >= n);
         });
     }
     *launch = nullptr;  // break the launcher's self-reference cycle
@@ -592,31 +512,45 @@ ClusterClient::stats()
 {
     std::vector<JsonValue> per;
     per.reserve(eps.size());
+    std::size_t answered = 0;
+    std::size_t first = 0;  ///< first node that answered
+    std::string lastErr;
     for (std::size_t i = 0; i < eps.size(); ++i) {
         JsonValue req = JsonValue::object();
         req.set("op", JsonValue::string("stats"));
         JsonValue resp;
         std::string err;
-        if (!pool().callSync(i, req, resp, err))
-            fatal(err);
-        if (!resp.get("ok").asBool(false))
-            fatal("stats request to ", eps[i].str(), " failed: ",
-                  resp.get("error").asString());
-        per.push_back(resp.get("stats"));
+        if (pool().callSync(i, req, resp, err) &&
+            !resp.get("ok").asBool(false))
+            err = "stats request to " + eps[i].str() + " failed: " +
+                  resp.get("error").asString();
+        if (err.empty()) {
+            if (answered++ == 0)
+                first = i;
+            per.push_back(resp.get("stats"));
+            continue;
+        }
+        // A dead node must not cost the other nodes' figures.
+        JsonValue e = JsonValue::object();
+        e.set("error", JsonValue::string(err));
+        per.push_back(std::move(e));
+        lastErr = std::move(err);
     }
+    if (answered == 0)
+        fatal(lastErr);
     if (per.size() == 1)
         return per.front();
 
-    // Aggregate: sum every numeric counter across nodes, take the
-    // maximum of the fields that describe a node rather than count
-    // its work (and of the latency high-water mark), drop the
-    // per-node mean, and attach the untouched per-node objects under
-    // "nodes".
+    // Aggregate over the nodes that answered: sum every numeric
+    // counter, take the maximum of the fields that describe a node
+    // rather than count its work (and of the latency high-water
+    // mark), drop the per-node mean, and attach the untouched
+    // per-node objects under "nodes".
     static const std::set<std::string> kMaxFields = {
         "latency_max_us", "protocol_version", "epoch", "cluster_nodes",
         "replication_factor"};
     JsonValue agg = JsonValue::object();
-    for (const auto &[name, v] : per.front().members()) {
+    for (const auto &[name, v] : per[first].members()) {
         if (!v.isNumber() || name == "latency_mean_us")
             continue;
         const bool max = kMaxFields.count(name) != 0;
@@ -629,6 +563,8 @@ ClusterClient::stats()
     }
     agg.set("nodes_total",
             JsonValue::integer(std::uint64_t{eps.size()}));
+    agg.set("nodes_unreachable",
+            JsonValue::integer(std::uint64_t{eps.size() - answered}));
     JsonValue nodes = JsonValue::object();
     for (std::size_t i = 0; i < eps.size(); ++i)
         nodes.set(eps[i].str(), std::move(per[i]));

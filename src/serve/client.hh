@@ -20,15 +20,14 @@
  *    exchanges share a link concurrently, and runJobs() *pipelines*
  *    the grid — each job is a single submit+wait frame to the node
  *    the ring designates, with up to a window of jobs in flight at
- *    once across all nodes. Busy nodes are retried on their hint;
- *    dead or draining nodes fail the affected jobs over along each
- *    key's ring-successor candidates (resubmitting the same job
- *    elsewhere — a submit is answered once, with its result, so
- *    there is nothing to resume), so a grid survives any single-node
- *    loss as long as a replica can answer. When a failover candidate serves a
- *    result the primary has lost, the record is pushed back to the
- *    primary (`replicate` op): client-driven read-repair. CLI
- *    semantics: an error with no remaining candidate is fatal().
+ *    once across all nodes. Busy nodes are retried on their hint. A
+ *    job whose node is dead or draining is resubmitted to the next
+ *    node in its key's ring order (a submit is answered once, with
+ *    its result, so there is nothing to resume). That node walks the
+ *    key's holders and repairs a lost record exactly as it would for
+ *    any other submit: failover and replica repair are the servers'
+ *    job, and the client keeps no per-key state. CLI semantics: an
+ *    error after every node has been tried is fatal().
  *
  * runJobs() returns exactly what a local Engine::run() would have —
  * bit-identical, since RunResult doubles travel as max_digits10
@@ -40,10 +39,9 @@
 #ifndef DCG_SERVE_CLIENT_HH
 #define DCG_SERVE_CLIENT_HH
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -108,48 +106,46 @@ class ClusterClient
   public:
     /**
      * fatal() on an empty endpoint list. Connects lazily.
-     * @p replicas > 1 enables failover along each key's ring
-     * successors (match the servers' --replicas); @p timeoutMs is the
-     * per-request deadline on the links (0 = none).
+     * @p timeoutMs is the per-request deadline on the links (0 =
+     * none).
      */
     explicit ClusterClient(std::vector<Endpoint> endpoints,
-                           unsigned replicas = 1,
                            unsigned timeoutMs = 0);
     ~ClusterClient();
 
-    /** Eagerly establish every link; fatal() on failure. */
+    /**
+     * Eagerly establish every link. With several endpoints an
+     * unreachable node is a warning (its jobs fail over); fatal()
+     * when no endpoint is reachable.
+     */
     void connect();
 
     /**
-     * One exchange with the node currently routed for @p routeKey (a
-     * jobKey(); "" = the first endpoint), failing over along the
-     * key's candidates on transport errors; fatal() when no candidate
-     * is reachable. Protocol-level errors come back as the parsed
+     * One exchange with the first endpoint; fatal() on a transport
+     * error. Protocol-level errors come back as the parsed
      * {"ok":false,...} response, not judged.
      */
-    JsonValue roundTrip(const JsonValue &req,
-                        const std::string &routeKey = "");
+    JsonValue roundTrip(const JsonValue &req);
 
     /** The server stats surface. With several endpoints, counters
-     *  are summed across nodes; identity fields (protocol_version,
-     *  epoch, cluster_nodes, replication_factor) and latency_max_us
-     *  take the maximum; the per-node objects sit under "nodes". */
+     *  are summed across the nodes that answer; identity fields
+     *  (protocol_version, epoch, cluster_nodes, replication_factor)
+     *  and latency_max_us take the maximum; the per-node objects sit
+     *  under "nodes", an unreachable node as {"error": ...} and
+     *  counted in "nodes_unreachable". fatal() when no node answers. */
     JsonValue stats();
 
     /**
      * Pipelined grid fan-out: every job is one submit+wait frame on
-     * its owner's link, up to a window in flight at once. Failover,
-     * busy retries and read-repair run per job from the link thread's
+     * its owner's link, up to a window in flight at once. Failover
+     * and busy retries run per job from the link thread's
      * completions; results return in request order, bit-identical to
      * a sequential run.
      */
     std::vector<RunResult> runJobs(const std::vector<JobSpec> &specs);
 
-    /** Failovers performed while routing requests. */
-    std::uint64_t failovers() const;
-
-    /** Read-repair pushes that reached the primary. */
-    std::uint64_t readRepairs() const;
+    /** Jobs resubmitted to the next node after a node failed them. */
+    std::uint64_t failovers() const { return failoverCount.load(); }
 
     const HashRing &ringView() const { return ring; }
 
@@ -181,35 +177,13 @@ class ClusterClient
     /** The link pool, starting its LinkLoop on first use. */
     PeerPool &pool();
 
-    /** Node index currently routed for @p key (candidate chain). */
-    std::size_t nodeFor(const std::string &key) const;
-
-    /**
-     * Advance @p routeKey to its next replica candidate after a
-     * failure. False means there is nowhere to fail over to.
-     */
-    bool advanceRoute(const std::string &routeKey);
-
-    /** The key's current position in its candidate chain (0 =
-     *  primary). */
-    std::size_t routePosOf(const std::string &key) const;
-
     std::vector<Endpoint> eps;
     HashRing ring;
-    unsigned replicas;
     unsigned timeoutMs;
     std::unique_ptr<LinkLoop> links;  ///< lazily started
 
-    /**
-     * Guards routePos and the counters: the pipelined runJobs()
-     * mutates them from the link thread's completions while the
-     * calling thread reads them.
-     */
-    mutable std::mutex routeMutex;
-    /** Failover state: key -> position in its candidate chain. */
-    std::map<std::string, std::size_t> routePos;
-    std::uint64_t failoverCount = 0;
-    std::uint64_t readRepairCount = 0;
+    /** Bumped from the link thread's completions, read by callers. */
+    std::atomic<std::uint64_t> failoverCount{0};
 };
 
 } // namespace dcg::serve

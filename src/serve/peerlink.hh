@@ -30,8 +30,8 @@
  * into its poll timeout. A callSync() returns only once the owner has
  * driven its request to completion or shutdown() has failed it, so
  * blocking callers must only exist while the owner loop runs — in
- * dcgserved, the workers and the replicator, whose work starts in
- * run() and whose pushes the drain waits out before shutdown().
+ * dcgserved, the workers, whose work starts in run() and which the
+ * drain waits out before shutdown().
  */
 
 #ifndef DCG_SERVE_PEERLINK_HH

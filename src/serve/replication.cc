@@ -17,18 +17,6 @@ ReplicatedStore::ReplicatedStore(std::shared_ptr<ResultStore> localStore,
     if (!local)
         fatal("replication: no local store to decorate");
     setEpochViews(view, EpochView{}, replicas);
-    replicator = std::thread([this] { replicatorLoop(); });
-}
-
-ReplicatedStore::~ReplicatedStore()
-{
-    {
-        std::lock_guard<std::mutex> lk(qMutex);
-        stopping = true;
-    }
-    qCv.notify_all();
-    if (replicator.joinable())
-        replicator.join();
 }
 
 void
@@ -81,12 +69,10 @@ ReplicatedStore::get(const std::string &key, RunResult &out)
         reps = viewReps;
     }
 
-    const std::vector<std::size_t> curHolders = cur.holders(
-        key, std::min<std::size_t>(reps, cur.members.size()));
+    const std::vector<std::size_t> curHolders = cur.holders(key, reps);
     std::vector<std::size_t> prevHolders;
     if (prev.valid())
-        prevHolders = prev.holders(
-            key, std::min<std::size_t>(reps, prev.members.size()));
+        prevHolders = prev.holders(key, reps);
 
     // Only a holder (under either epoch) pulls from peers; everyone
     // else misses locally and lets the owner do the work.
@@ -132,79 +118,45 @@ ReplicatedStore::put(const std::string &key, const RunResult &r)
 {
     local->put(key, r);
 
-    EpochView cur;
-    unsigned reps;
-    {
-        std::lock_guard<std::mutex> lk(viewMutex);
-        cur = curView;
-        reps = viewReps;
-    }
-
     // Fan out to the current epoch's holders — including the new owner
     // of a key this node only serves under the previous epoch, which
     // doubles as an eager handoff of fresh results.
-    Task t;
-    t.key = key;
-    for (std::size_t idx :
-         cur.holders(key, std::min<std::size_t>(reps, cur.members.size())))
-        if (idx != selfIdx)
-            t.targets.push_back(idx);
-    t.result = r;
-    if (t.targets.empty())
-        return;
+    std::vector<std::size_t> targets;
     {
-        std::lock_guard<std::mutex> lk(qMutex);
-        if (stopping)
-            return;
-        queue.push_back(std::move(t));
+        std::lock_guard<std::mutex> lk(viewMutex);
+        for (std::size_t idx : curView.holders(key, viewReps))
+            if (idx != selfIdx)
+                targets.push_back(idx);
     }
-    qCv.notify_all();
+    if (targets.empty())
+        return;
+    const JsonValue req = replicateRequest(key, r);
+    {
+        std::lock_guard<std::mutex> lk(pushMutex);
+        pushesInflight += targets.size();
+    }
+    // A shut pool completes a post() inline, so no lock is held here.
+    for (std::size_t idx : targets)
+        pool.post(idx, req, [this](PeerReply reply) { pushDone(reply); });
+}
+
+void
+ReplicatedStore::pushDone(const PeerReply &reply)
+{
+    if (reply.transportOk && reply.resp.get("ok").asBool(false))
+        ++pushed;
+    else
+        ++pushFailed;
+    std::lock_guard<std::mutex> lk(pushMutex);
+    if (--pushesInflight == 0)
+        pushCv.notify_all();
 }
 
 void
 ReplicatedStore::flush()
 {
-    std::unique_lock<std::mutex> lk(qMutex);
-    qCv.wait(lk, [this] { return queue.empty() && !busy; });
-}
-
-void
-ReplicatedStore::replicatorLoop()
-{
-    std::unique_lock<std::mutex> lk(qMutex);
-    for (;;) {
-        qCv.wait(lk, [this] { return stopping || !queue.empty(); });
-        if (queue.empty()) {
-            // stopping with nothing left to push
-            qCv.notify_all();
-            return;
-        }
-        Task t = std::move(queue.front());
-        queue.pop_front();
-        busy = true;
-        lk.unlock();
-        pushOne(t);
-        lk.lock();
-        busy = false;
-        if (queue.empty())
-            qCv.notify_all();  // wake flush()ers
-    }
-}
-
-void
-ReplicatedStore::pushOne(const Task &t)
-{
-    const JsonValue req = replicateRequest(t.key, t.result);
-    for (std::size_t idx : t.targets) {
-        JsonValue resp;
-        std::string err;
-        if (pool.callSync(idx, req, resp, err) &&
-            resp.get("ok").asBool(false)) {
-            ++pushed;
-        } else {
-            ++pushFailed;
-        }
-    }
+    std::unique_lock<std::mutex> lk(pushMutex);
+    pushCv.wait(lk, [this] { return pushesInflight == 0; });
 }
 
 } // namespace dcg::serve

@@ -7,14 +7,15 @@
  *
  * Write path (put): the record lands in the local store first,
  * synchronously — the caller's durability is never held hostage to a
- * peer — then a fan-out task is queued for the replicator thread,
- * which pushes a `replicate` op to each *other* holder the current
- * ring epoch names for the key. Pushes are asynchronous and
- * best-effort: a dead follower costs a counter tick, not latency on
- * the submit path. Any holder that stores a freshly computed result
- * fans out (not just the primary); results are deterministic and
- * byte-identical, so concurrent fan-outs of the same key are
- * harmless last-write-wins of identical bytes.
+ * peer — then one `replicate` op is posted on the server's PeerPool
+ * for each *other* holder the current ring epoch names for the key.
+ * The event loop sends them and runs their completions; put() never
+ * waits. Pushes are best-effort: a dead follower costs a counter
+ * tick, not latency on the submit path, and one slow follower delays
+ * no other follower's pushes. Any holder that stores a freshly
+ * computed result fans out (not just the primary); results are
+ * deterministic and byte-identical, so concurrent fan-outs of the
+ * same key are harmless last-write-wins of identical bytes.
  *
  * Read path (get): local store first. On a local miss — a cold
  * restart, an evicted record, a corrupt file — and only when this
@@ -39,19 +40,19 @@
  * node-table indices — the same index space the server's PeerPool is
  * addressed by.
  *
- * Peer I/O: every push and fetch is a PeerPool::callSync() on the
- * server's one pool, so it rides the event loop's multiplexed links.
- * callSync() needs the loop running; the server only starts workers
- * (the only callers of get()/put()) in run(), waits in its drain for
- * pendingPushes() to reach 0 while the loop still drives the links,
- * and shuts the pool down only then — after which any straggler
- * fails fast and counts as a push failure or a miss.
+ * Peer I/O: every push and fetch rides the event loop's multiplexed
+ * links on the server's one pool — a push as a post(), a fetch as a
+ * callSync() on the worker that missed. The server only starts
+ * workers (the only callers of get()/put()) in run(), its drain waits
+ * for the pool to go idle — posted pushes included — while the loop
+ * still drives the links, and it shuts the pool down only then;
+ * after that any straggler fails fast and counts as a push failure
+ * or a miss.
  *
  * Thread safety: get()/put() may be called from any worker thread;
- * the queue is mutex-guarded and the replicator thread performs all
- * pushes (fetches run on the calling thread). flush() blocks until
- * queued pushes have been attempted — used at the end of the drain
- * and by tests that assert on follower state.
+ * push completions run on the event loop thread. flush() blocks until
+ * every posted push has completed — used by tests that assert on
+ * follower state.
  */
 
 #ifndef DCG_SERVE_REPLICATION_HH
@@ -60,11 +61,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_annotations.hh"
@@ -90,7 +89,6 @@ class ReplicatedStore : public exp::ResultStoreBase
     ReplicatedStore(std::shared_ptr<ResultStore> local,
                     std::size_t selfIndex, const EpochView &view,
                     unsigned replicas, PeerPool &pool);
-    ~ReplicatedStore() override;
 
     ReplicatedStore(const ReplicatedStore &) = delete;
     ReplicatedStore &operator=(const ReplicatedStore &) = delete;
@@ -100,7 +98,7 @@ class ReplicatedStore : public exp::ResultStoreBase
     void put(const std::string &key, const RunResult &r)
         override DCG_ANY_THREAD;
 
-    /** Block until every queued fan-out push has been attempted. */
+    /** Block until every posted fan-out push has completed. */
     void flush() DCG_ANY_THREAD;
 
     /**
@@ -147,27 +145,13 @@ class ReplicatedStore : public exp::ResultStoreBase
         return handoffs.load();
     }
 
-    /** Fan-out tasks queued or mid-push right now. */
-    std::size_t pendingPushes() const DCG_ANY_THREAD
-    {
-        std::lock_guard<std::mutex> lk(qMutex);
-        return queue.size() + (busy ? 1 : 0);
-    }
-
   private:
-    struct Task
-    {
-        std::string key;
-        RunResult result;
-        std::vector<std::size_t> targets;  ///< indices into nodes
-    };
-
     /** Fetch @p key from @p idx; on success repair locally and serve. */
     bool fetchFrom(std::size_t idx, const JsonValue &req,
                    const std::string &key, RunResult &out);
 
-    void replicatorLoop();
-    void pushOne(const Task &t);
+    /** Count one push's outcome; wakes flush() at the last one. */
+    void pushDone(const PeerReply &reply);
 
     std::shared_ptr<ResultStore> local;
     std::size_t selfIdx;
@@ -179,12 +163,9 @@ class ReplicatedStore : public exp::ResultStoreBase
     EpochView prevView DCG_GUARDED_BY(viewMutex);
     unsigned viewReps DCG_GUARDED_BY(viewMutex) = 1;
 
-    mutable std::mutex qMutex;
-    std::condition_variable qCv;       ///< work available / drained
-    std::deque<Task> queue DCG_GUARDED_BY(qMutex);
-    bool busy DCG_GUARDED_BY(qMutex) = false;  ///< task mid-push
-    bool stopping DCG_GUARDED_BY(qMutex) = false;
-    std::thread replicator;
+    std::mutex pushMutex;
+    std::condition_variable pushCv;  ///< the last push completed
+    std::size_t pushesInflight DCG_GUARDED_BY(pushMutex) = 0;
 
     std::atomic<std::uint64_t> pushed{0};
     std::atomic<std::uint64_t> pushFailed{0};

@@ -115,7 +115,8 @@ struct EpochView
         return false;
     }
 
-    /** The key's holder *node-table* indices, primary first. */
+    /** The key's holder *node-table* indices, primary first: the
+     *  first min(k, members) nodes of its ring walk. */
     std::vector<std::size_t> holders(const std::string &key,
                                      std::size_t k) const
     {
@@ -123,16 +124,6 @@ struct EpochView
         for (std::size_t ord : ring.ownerIndices(key, k))
             out.push_back(nodeIdx[ord]);
         return out;
-    }
-
-    /** True when @p node (a node-table index) holds @p key. */
-    bool holds(const std::string &key, std::size_t k,
-               std::size_t node) const
-    {
-        for (std::size_t idx : holders(key, k))
-            if (idx == node)
-                return true;
-        return false;
     }
 };
 

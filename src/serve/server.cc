@@ -158,12 +158,6 @@ Server::Server(const ServerConfig &config)
 void
 Server::buildPeers()
 {
-    // The replication layer calls through the pool: destroy it (which
-    // joins its fan-out thread) before the pool it holds.
-    if (repl) {
-        eng.attachStore(store);
-        repl.reset();
-    }
     PeerPool::Options po;
     po.peerTimeoutMs = cfg.peerTimeoutMs;
     po.wake = [this] { wake(); };
@@ -197,10 +191,8 @@ Server::configureCluster(const std::vector<Endpoint> &allNodes,
         fatal("dcgserved: own address '", self,
               "' is not in the cluster node list");
     nodes = allNodes;
-    ring = HashRing(endpointStrings(nodes));
     selfAddr = self;
     selfIdx = self_idx;
-    clustered = nodes.size() > 1;
 
     // Epoch 0: the statically configured member list; live joins and
     // leaves advance from here. The node table and the member list
@@ -210,50 +202,49 @@ Server::configureCluster(const std::vector<Endpoint> &allNodes,
     curEp.members = endpointStrings(nodes);
     for (std::size_t i = 0; i < nodes.size(); ++i)
         curEp.nodeIdx.push_back(i);
-    curEp.ring = ring;
+    curEp.ring = HashRing(curEp.members);
     prevEp = EpochView{};
     epochReps = std::max(cfg.replicas, 1u);
 
-    replFactor = 1;
-    if (cfg.replicas > 1 && clustered) {
+    const unsigned k = replicationFactor();
+    if (cfg.replicas > 1 && clustered()) {
         if (!store)
             fatal("dcgserved: replication needs a persistent store "
                   "(--replicas without --store)");
-        replFactor = static_cast<unsigned>(
-            std::min<std::size_t>(cfg.replicas, nodes.size()));
-        if (replFactor < cfg.replicas)
+        if (k < cfg.replicas)
             warn("dcgserved: --replicas=", cfg.replicas,
-                 " clamped to the cluster size (", replFactor, ")");
+                 " clamped to the cluster size (", k, ")");
     } else if (cfg.replicas > 1) {
         warn("dcgserved: --replicas=", cfg.replicas,
              " ignored on a single-node cluster");
     }
     buildPeers();
 
-    if (clustered)
+    if (clustered())
         inform("dcgserved: cluster of ", nodes.size(),
                " node(s); this shard is ", selfAddr,
-               replFactor > 1
-                   ? " (replication factor " +
-                         std::to_string(replFactor) + ")"
-                   : "");
+               k > 1 ? " (replication factor " + std::to_string(k) + ")"
+                     : "");
+}
+
+bool
+Server::clustered() const
+{
+    return curEp.members.size() != 1 || curEp.members.front() != selfAddr;
+}
+
+unsigned
+Server::replicationFactor() const
+{
+    return static_cast<unsigned>(
+        std::min<std::size_t>(epochReps, curEp.members.size()));
 }
 
 Server::~Server()
 {
-    // Fail any outstanding peer work first so nothing (the replicator
-    // thread included) can block inside the pool, then tear down the
-    // replication layer — which joins that thread — before the pool
-    // object it calls through goes away. The engine's reference is
-    // re-pointed at the plain store so resetting repl really destroys
-    // it (and joins its thread) here, not at some later member's
-    // destruction after the pool is gone.
+    // Fail any outstanding peer work while every member its
+    // completions touch is still alive.
     pool->shutdown();
-    if (repl) {
-        eng.attachStore(store);
-        repl.reset();
-    }
-    pool.reset();
     {
         std::lock_guard<std::mutex> lk(qMutex);
         workersStop = true;
@@ -351,11 +342,6 @@ Server::idle()
         if (!events.empty())
             return false;
     }
-    // Only workers queue fan-out pushes, and they are idle: once the
-    // queue is empty it stays empty, and every push has landed over
-    // the links (or failed) before the pool shuts down.
-    if (repl && repl->pendingPushes() != 0)
-        return false;
     for (const auto &[id, c] : conns)
         if (c.fd >= 0 && !c.out.empty())
             return false;
@@ -494,13 +480,6 @@ Server::run()
     for (std::thread &t : workerThreads)
         t.join();
     workerThreads.clear();
-
-    // Workers are gone, so no new fan-out tasks can appear. A drain
-    // that went idle left none queued; pushes the grace abandoned fail
-    // fast on the shut pool and count as push failures — read-repair
-    // and handoff heal those gaps.
-    if (repl)
-        repl->flush();
 }
 
 void
@@ -713,10 +692,9 @@ Server::handleSubmit(OpCall &c)
     // forwarding again (no loops, ever).
     std::vector<std::size_t> holders;
     bool remote = false;
-    if (clustered) {
+    if (clustered()) {
         const std::string key = exp::jobKey(job);
-        holders = curEp.holders(
-            key, std::min<std::size_t>(replFactor, curEp.members.size()));
+        holders = curEp.holders(key, epochReps);
         remote = holders.front() != selfIdx;
         // A forwarded submit is served here whenever this node holds
         // the key under the *current or previous* epoch: a
@@ -730,9 +708,7 @@ Server::handleSubmit(OpCall &c)
             bool serve_here = std::find(holders.begin(), holders.end(),
                                         selfIdx) != holders.end();
             if (!serve_here && prevEp.valid()) {
-                const auto ph = prevEp.holders(
-                    key, std::min<std::size_t>(replFactor,
-                                               prevEp.members.size()));
+                const auto ph = prevEp.holders(key, epochReps);
                 serve_here = std::find(ph.begin(), ph.end(), selfIdx) !=
                              ph.end();
             }
@@ -922,10 +898,8 @@ Server::forwardReply(const std::shared_ptr<Forward> &fwd,
             fwd->epoch = curEp.epoch;
             fwd->busyRetries = 0;
             fwd->ownerRetries = 0;
-            fwd->holders = curEp.holders(
-                exp::jobKey(fwd->job),
-                std::min<std::size_t>(replFactor,
-                                      curEp.members.size()));
+            fwd->holders =
+                curEp.holders(exp::jobKey(fwd->job), epochReps);
             fwd->pos = 0;
             stepForward(fwd);
             return;
@@ -1052,17 +1026,12 @@ Server::installEpoch(std::uint64_t epoch,
     curEp = std::move(next);
     prevEp = announcedPrev && announcedPrev->valid() ? *announcedPrev
                                                      : ownPrev;
-    ring = curEp.ring;
     epochReps = std::max(reps, 1u);
-    clustered = !(curEp.members.size() == 1 &&
-                  curEp.members.front() == selfAddr);
-    replFactor = static_cast<unsigned>(
-        std::min<std::size_t>(epochReps, curEp.members.size()));
     if (repl)
         repl->setEpochViews(curEp, prevEp, epochReps);
     inform("dcgserved: epoch ", curEp.epoch, " installed (",
            curEp.members.size(), " member(s), replication factor ",
-           replFactor, ")");
+           replicationFactor(), ")");
     startRebalance(ownPrev);
 }
 
@@ -1088,15 +1057,11 @@ Server::startRebalance(const EpochView &ownPrev)
     // pusher per key keeps the move at ~1/N of the store, not k/N.
     if (store && ownPrev.valid() &&
         ownPrev.hasMember(selfAddr)) {
-        const std::size_t kPrev = std::min<std::size_t>(
-            epochReps, ownPrev.members.size());
-        const std::size_t kCur = std::min<std::size_t>(
-            epochReps, curEp.members.size());
         for (const std::string &key : store->keys()) {
-            const auto ph = ownPrev.holders(key, kPrev);
+            const auto ph = ownPrev.holders(key, epochReps);
             if (ph.empty() || ph.front() != selfIdx)
                 continue;
-            const auto ch = curEp.holders(key, kCur);
+            const auto ch = curEp.holders(key, epochReps);
             Rebalance::Item item;
             item.key = key;
             for (std::size_t t : ch)
@@ -1558,7 +1523,7 @@ Server::handleRing() const
     resp.set("members", memberListJson(curEp.members));
     resp.set("self", JsonValue::string(selfAddr));
     resp.set("replicas",
-             JsonValue::integer(std::uint64_t{replFactor}));
+             JsonValue::integer(std::uint64_t{replicationFactor()}));
     resp.set("rebalance_arcs_moved",
              JsonValue::integer(rebalArcsMoved));
     resp.set("rebalance_bytes", JsonValue::integer(rebalBytes));
@@ -1669,7 +1634,7 @@ Server::statsJson() const
           JsonValue::integer(std::uint64_t{kProtocolVersion}));
     s.set("epoch", JsonValue::integer(curEp.epoch));
     s.set("ops", opCatalogJson());
-    if (clustered) {
+    if (clustered()) {
         s.set("cluster_self", JsonValue::string(selfAddr));
         s.set("cluster_nodes",
               JsonValue::integer(std::uint64_t{curEp.members.size()}));

@@ -19,7 +19,10 @@
  *
  *  - N worker threads pop admitted jobs and ONLY simulate
  *    (Engine::runOne). Results flow back to the I/O thread as events
- *    through the wake pipe, which writes each submit's reply.
+ *    through the wake pipe, which writes each submit's reply. A
+ *    worker's store write posts its replica pushes on the pool and a
+ *    worker's store miss may block on a read-repair fetch; the I/O
+ *    thread carries both over the peer links.
  *
  * Requests: a submit is answered exactly once, when its job finishes
  * (a warm cache hit at once). Its reply target — connection id and
@@ -51,15 +54,14 @@
  * ReplicatedStore, so each locally computed result is written
  * locally first and then fanned out asynchronously to the other
  * holders ("replicate" op), and a local miss on a held key is
- * repaired by pulling a sibling's record ("fetch" op). The fan-out
- * thread's pushes and the read-repair fetches ride the same
- * multiplexed links as forwards: the one PeerPool, built in the
- * constructor (rebuilt by configureCluster() before run()), which the
- * ReplicatedStore calls through directly. Forwarding is
- * failover-aware: when the key's primary is unreachable the Forward
- * chain walks the remaining holders in ring order — enqueueing the
- * job locally when this node is itself one of them — before
- * reporting forward_failed. A forwarded submit marked
+ * repaired by pulling a sibling's record ("fetch" op). The pushes and
+ * the read-repair fetches ride the same multiplexed links as
+ * forwards: the one PeerPool, built in the constructor (rebuilt by
+ * configureCluster() before run()), which the ReplicatedStore posts
+ * to directly. Forwarding is failover-aware: when the key's primary
+ * is unreachable the Forward chain walks the remaining holders in
+ * ring order — enqueueing the job locally when this node is itself
+ * one of them — before reporting forward_failed. A forwarded submit marked
  * "replica": true is such a failover: a holder receiving one serves
  * it instead of bouncing not_owner.
  *
@@ -99,7 +101,7 @@
  *
  * Shutdown: requestStop() (async-signal-safe; wired to SIGINT/SIGTERM
  * by dcgserved) stops accepting and admitting, drains queued and
- * running jobs and queued replica pushes while the event loop still
+ * running jobs and posted replica pushes while the event loop still
  * drives the peer links, flushes responses, then returns from run().
  * A drain grace period bounds the wait; past it the pool is shut
  * down, so every peer exchange still outstanding — a push, a fetch a
@@ -199,15 +201,18 @@ class Server
     std::uint16_t port() const DCG_ANY_THREAD { return boundPort; }
     exp::Engine &engine() DCG_ANY_THREAD { return eng; }
 
-    /** The cluster ring ("" nodes when standalone). */
-    const HashRing &ringView() const DCG_ANY_THREAD { return ring; }
+    /** The current epoch's ring (just this node when standalone). */
+    const HashRing &ringView() const DCG_ANY_THREAD
+    {
+        return curEp.ring;
+    }
     const std::string &selfAddress() const DCG_ANY_THREAD
     {
         return selfAddr;
     }
 
     /** The replication layer (null when no persistent store).
-     *  Exposed so tests and tools can flush()/inspect fan-out state. */
+     *  Exposed so tests can flush()/inspect fan-out state. */
     ReplicatedStore *replication() DCG_ANY_THREAD { return repl.get(); }
 
     /** The current ring epoch id (0 until the first live change). */
@@ -367,6 +372,12 @@ class Server
                       PeerReply reply);
     void deliverForward(const std::shared_ptr<Forward> &fwd, Event ev);
     void enqueueLocal(WorkItem item);
+    /** Routing consults the ring: the current epoch is not just this
+     *  node. */
+    bool clustered() const;
+    /** Effective copies per key: the configured k, clamped to the
+     *  current epoch's member count. */
+    unsigned replicationFactor() const;
     /// @}
 
     /// @name Worker side
@@ -383,9 +394,7 @@ class Server
     std::shared_ptr<ReplicatedStore> repl;  ///< set when store-backed
 
     /** The multiplexed peer links, owned and driven by the I/O
-     *  thread's event loop; never null. Destroyed AFTER repl is reset
-     *  (~Server orders this explicitly): the replicator thread calls
-     *  into the pool. */
+     *  thread's event loop; never null. */
     std::unique_ptr<PeerPool> pool;
     std::uint64_t inflightForwards = 0;  ///< I/O thread only
 
@@ -396,11 +405,8 @@ class Server
      *  slot across epochs; a left node's slot simply stops being
      *  routed to. */
     std::vector<Endpoint> nodes;
-    HashRing ring;                ///< mirror of curEp.ring (ringView)
     std::string selfAddr;
     std::size_t selfIdx = 0;      ///< this node's index in nodes
-    bool clustered = false;       ///< routing consults the ring
-    unsigned replFactor = 1;      ///< effective copies per key
     EpochView curEp;              ///< routes new work
     EpochView prevEp;             ///< dual-epoch routing + handoff
     unsigned epochReps = 1;       ///< configured k carried by epochs

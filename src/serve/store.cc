@@ -19,7 +19,6 @@ namespace dcg::serve {
 namespace {
 
 constexpr int kStoreFormatVersion = 1;
-constexpr const char *kManifestName = "manifest.json";
 
 std::uint64_t
 fnv1a(const std::string &s, std::uint64_t h)
@@ -105,7 +104,6 @@ ResultStore::ResultStore(const std::string &directory)
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         if (!entry.is_regular_file() ||
             entry.path().extension() != ".json" ||
-            entry.path().filename() == kManifestName ||
             isStaleTmp(entry.path().filename().string()))
             continue;
         Found f;
@@ -357,30 +355,6 @@ ResultStore::evictTo(std::uint64_t budgetBytes)
     return evictLocked(budgetBytes, "");
 }
 
-void
-ResultStore::writeManifestLocked() const
-{
-    const fs::path final_path = fs::path(dir) / kManifestName;
-    const fs::path tmp_path = final_path.string() + ".tmp.m";
-    {
-        std::ofstream os(tmp_path);
-        if (!os)
-            return;  // purely advisory; the scan remains authoritative
-        JsonValue m = JsonValue::object();
-        m.set("dcg_store_manifest", JsonValue::integer(
-            static_cast<std::int64_t>(kStoreFormatVersion)));
-        m.set("records",
-              JsonValue::integer(std::uint64_t{index.size()}));
-        m.set("bytes", JsonValue::integer(totalBytes));
-        m.set("compactions", JsonValue::integer(compactPasses.load()));
-        os << m.dump() << '\n';
-    }
-    std::error_code ec;
-    fs::rename(tmp_path, final_path, ec);
-    if (ec)
-        fs::remove(tmp_path, ec);
-}
-
 std::size_t
 ResultStore::compact()
 {
@@ -394,8 +368,6 @@ ResultStore::compact()
         if (!entry.is_regular_file())
             continue;
         const std::string name = entry.path().filename().string();
-        if (name == kManifestName)
-            continue;
         // Interrupted-write leftovers are always garbage: a completed
         // put() renames its tmp file away.
         if (isStaleTmp(name)) {
@@ -433,7 +405,6 @@ ResultStore::compact()
     ++compactPasses;
     if (budget)
         removed += evictLocked(budget, "");
-    writeManifestLocked();
     return removed;
 }
 

@@ -26,13 +26,11 @@
  *    automatically, so a long-lived service never grows without
  *    limit. The record just written is never the eviction victim.
  *  - compact() garbage-collects the directory: stale "*.tmp.*"
- *    leftovers from interrupted writes and records that fail full
- *    validation (header, key/filename agreement, result body) are
- *    deleted, the index and byte accounting are rebuilt, and a
- *    "manifest.json" summary is rewritten atomically (tmp + rename)
- *    so external tooling can read the store's shape without a scan.
- *    dcgserved runs one pass at startup and serves {"op":"compact"}
- *    on demand.
+ *    leftovers from interrupted writes and "*.json" files that fail
+ *    full validation as records (header, key/filename agreement,
+ *    result body) are deleted, and the index and byte accounting are
+ *    rebuilt. dcgserved runs one pass at startup and serves
+ *    {"op":"compact"} on demand.
  *
  * Safe for concurrent use from several worker threads (the index is
  * mutex-guarded; file operations are per-key).
@@ -165,7 +163,6 @@ class ResultStore : public exp::ResultStoreBase
     std::size_t evictLocked(std::uint64_t budget,
                             const std::string &keep)
         DCG_REQUIRES(indexMutex);
-    void writeManifestLocked() const DCG_REQUIRES(indexMutex);
     void putRecord(const std::string &key, const RunResult &r,
                    bool replica);
 

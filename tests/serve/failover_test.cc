@@ -1,13 +1,15 @@
 /**
  * Failover tests: a replicated cluster keeps serving byte-identical
  * grids — with zero re-simulations for already-replicated keys —
- * when a node dies, whether the client is ring-aware (client-side
- * failover + read-repair) or knows a single entry node (server-side
- * holder walking); an unreplicated cluster still surfaces the
- * structured forward_failed error; a blackholed (partitioned, not
- * dead) follower link only costs bounded timeouts and push failures,
- * never the grid; and without a peer timeout such a link cannot hold
- * a stopping node past its drain grace.
+ * when a node dies, whether the client is ring-aware (it resubmits a
+ * dead node's jobs to the next node in ring order) or knows a single
+ * entry node; either way the servers walk each key's holders. A
+ * revived node with a wiped disk repairs itself from its followers;
+ * an unreplicated cluster still surfaces the structured
+ * forward_failed error; a blackholed (partitioned, not dead) follower
+ * link only costs bounded timeouts and push failures, never the grid;
+ * and without a peer timeout such a link cannot hold a stopping node
+ * past its drain grace.
  */
 
 #include <gtest/gtest.h>
@@ -104,7 +106,7 @@ TEST(Failover, RingAwareClientFailsOverWhenANodeDies)
 
     std::vector<Endpoint> eps = fx.boundEndpoints();
     {
-        ClusterClient warm(eps, 2);
+        ClusterClient warm(eps);
         EXPECT_EQ(asJson(warm.runJobs(smallGridSpecs())), expected);
     }
     fx.flushReplication();
@@ -113,7 +115,9 @@ TEST(Failover, RingAwareClientFailsOverWhenANodeDies)
 
     fx.killNode(victim);
 
-    ClusterClient client(eps, 2, /*timeoutMs=*/2000);
+    // No replica count and no deadline: a refused connection is the
+    // whole failover signal.
+    ClusterClient client(eps);
     EXPECT_EQ(asJson(client.runJobs(smallGridSpecs())), expected);
     EXPECT_GT(client.failovers(), 0u);
 
@@ -121,6 +125,16 @@ TEST(Failover, RingAwareClientFailsOverWhenANodeDies)
     // records: not a single new simulation anywhere.
     EXPECT_EQ(survivorStat(fx, victim, "simulations"),
               liveSimsBefore);
+
+    // The dead node costs the cluster stats nothing but its own entry.
+    const JsonValue stats = client.stats();
+    EXPECT_EQ(stats.get("nodes_unreachable").asU64(99), 1u);
+    EXPECT_EQ(stats.get("simulations").asU64(0),
+              survivorStat(fx, victim, "simulations"));
+    EXPECT_TRUE(stats.get("nodes")
+                    .get(fx.address(victim))
+                    .has("error"))
+        << stats.dump();
 }
 
 TEST(Failover, SingleEndpointClientIsServedThroughServerSideFailover)
@@ -185,7 +199,7 @@ TEST(Failover, UnreplicatedClusterSurfacesForwardFailed)
               0u);
 }
 
-TEST(Failover, SurvivingClientReadRepairsTheRevivedPrimary)
+TEST(Failover, RevivedPrimaryReadRepairsItselfFromAFollower)
 {
     const std::string expected = localGridJson();
     ReplicaCluster fx(3, 2, "readrepair");
@@ -196,35 +210,45 @@ TEST(Failover, SurvivingClientReadRepairsTheRevivedPrimary)
     const std::size_t victim = victimNode(ring);
 
     std::vector<Endpoint> eps = fx.boundEndpoints();
-    ClusterClient client(eps, 2, /*timeoutMs=*/2000);
-    EXPECT_EQ(asJson(client.runJobs(smallGridSpecs())), expected);
+    {
+        ClusterClient warm(eps);
+        EXPECT_EQ(asJson(warm.runJobs(smallGridSpecs())), expected);
+    }
     fx.flushReplication();
 
-    // Lose the victim; the same client keeps working and learns (via
-    // its per-key route state) which keys now live on followers.
+    // Lose the victim; its keys are served from the followers.
     fx.killNode(victim);
-    EXPECT_EQ(asJson(client.runJobs(smallGridSpecs())), expected);
-    EXPECT_GT(client.failovers(), 0u);
+    {
+        ClusterClient client(eps);
+        EXPECT_EQ(asJson(client.runJobs(smallGridSpecs())), expected);
+        EXPECT_GT(client.failovers(), 0u);
+    }
 
-    // The victim comes back empty. The client still routes its keys
-    // to the followers — and pushes each served result back to the
-    // primary it knows has been failed over: client-driven
-    // read-repair refills the revived node without a simulation.
+    // The victim comes back empty and owns its keys again. Each of
+    // them misses its disk, and the node fetches the record from a
+    // follower instead of simulating: server-side read-repair.
     fx.restartNode(victim, /*wipeStore=*/true);
+    ClusterClient client(eps);
     EXPECT_EQ(asJson(client.runJobs(smallGridSpecs())), expected);
-    EXPECT_GT(client.readRepairs(), 0u);
-    EXPECT_EQ(fx.nodeStats(victim).get("simulations").asU64(99), 0u);
+    EXPECT_EQ(client.failovers(), 0u);
+    const JsonValue revived = fx.nodeStats(victim);
+    EXPECT_GT(revived.get("read_repairs").asU64(0), 0u);
+    EXPECT_EQ(revived.get("simulations").asU64(99), 0u);
 
-    fx.flushReplication();
     ResultStore probe(fx.storeDir(victim));
+    std::size_t owned = 0;
     std::size_t repaired = 0;
     for (const JobSpec &s : smallGridSpecs()) {
         const std::string key = exp::jobKey(s.toJob());
+        if (ring.ownerIndex(key) != victim)
+            continue;
+        ++owned;
         RunResult r;
-        if (ring.ownerIndex(key) == victim && probe.get(key, r))
+        if (probe.get(key, r))
             ++repaired;
     }
-    EXPECT_GT(repaired, 0u);
+    EXPECT_GT(owned, 0u);
+    EXPECT_EQ(repaired, owned);
 }
 
 TEST(Failover, MidGridNodeLossStillYieldsAByteIdenticalGrid)
@@ -234,12 +258,12 @@ TEST(Failover, MidGridNodeLossStillYieldsAByteIdenticalGrid)
     fx.start();
 
     // Cold cluster, node killed while the grid is in flight: however
-    // the timing lands — jobs drained on the dying node, failed over
+    // the timing lands — jobs drained on the dying node, resubmitted
     // by the client, re-run on a follower — determinism means the
     // collected grid must be byte-identical. (No failover-count
     // assertion here: the race is real and either outcome is legal.)
     std::vector<Endpoint> eps = fx.boundEndpoints();
-    ClusterClient client(eps, 2, /*timeoutMs=*/2000);
+    ClusterClient client(eps, /*timeoutMs=*/2000);
     std::string got;
     std::thread grid([&] {
         got = asJson(client.runJobs(smallGridSpecs()));
@@ -270,7 +294,7 @@ TEST(Failover, BlackholedFollowerCostsPushFailuresNotTheGrid)
     darkProxy.setMode(FaultProxy::Mode::Blackhole);
 
     std::vector<Endpoint> eps{p0.address(), p1.address()};
-    ClusterClient client(eps, 2, /*timeoutMs=*/2000);
+    ClusterClient client(eps, /*timeoutMs=*/2000);
     EXPECT_EQ(asJson(client.runJobs(smallGridSpecs())), expected);
     EXPECT_GT(client.failovers(), 0u);
 
@@ -287,7 +311,7 @@ TEST(Failover, BlackholedFollowerCostsPushFailuresNotTheGrid)
     // Heal the partition: the dark node refills from the lit node's
     // records via fetch read-repair — still zero simulations there.
     darkProxy.setMode(FaultProxy::Mode::Pass);
-    ClusterClient healed(eps, 2, /*timeoutMs=*/2000);
+    ClusterClient healed(eps, /*timeoutMs=*/2000);
     EXPECT_EQ(asJson(healed.runJobs(smallGridSpecs())), expected);
     const JsonValue darkStats = fx.nodeStats(dark);
     EXPECT_EQ(darkStats.get("simulations").asU64(99), 0u);

@@ -103,9 +103,9 @@ specsMovingSomeKeys(const HashRing &oldRing, const HashRing &newRing)
 
 std::vector<RunResult>
 runVia(const std::vector<Endpoint> &eps,
-       const std::vector<JobSpec> &specs, unsigned replicas = 1)
+       const std::vector<JobSpec> &specs)
 {
-    ClusterClient client(eps, replicas);
+    ClusterClient client(eps);
     client.connect();
     return client.runJobs(specs);
 }
@@ -202,7 +202,7 @@ TEST(Membership, LeaveReplicaHolderKeepsEveryKeyAnswerable)
     const std::vector<JobSpec> specs = gridSpecs();
 
     const std::string before =
-        asJson(runVia(cluster.boundEndpoints(), specs, 2));
+        asJson(runVia(cluster.boundEndpoints(), specs));
     cluster.flushReplication();
     const std::uint64_t simsBefore = cluster.sumStat("simulations");
 
@@ -214,7 +214,7 @@ TEST(Membership, LeaveReplicaHolderKeepsEveryKeyAnswerable)
     // Every key the leaver held (as primary or replica) must still be
     // served by the two survivors without re-simulating.
     const std::string after = asJson(
-        runVia({cluster.endpoint(0), cluster.endpoint(1)}, specs, 2));
+        runVia({cluster.endpoint(0), cluster.endpoint(1)}, specs));
     EXPECT_EQ(before, after);
     EXPECT_EQ(cluster.nodeStats(0).get("simulations").asU64(0) +
                   cluster.nodeStats(1).get("simulations").asU64(0) +
@@ -330,7 +330,7 @@ TEST(Membership, JoinedNodeReplicatesOverItsPeerLinks)
     }
     ASSERT_TRUE(joinerOwns());
 
-    EXPECT_EQ(asJson(runVia(cluster.boundEndpoints(), specs, 2)),
+    EXPECT_EQ(asJson(runVia(cluster.boundEndpoints(), specs)),
               asJson(runLocally(specs)));
     cluster.flushReplication();
 

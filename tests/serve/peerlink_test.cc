@@ -240,7 +240,7 @@ TEST(PeerLink, MuxedGridIsByteIdenticalDespiteOutOfOrderCompletions)
     // responses arrive out of submit order and only rid matching can
     // put the grid back together in request order.
     std::vector<Endpoint> eps{fx.endpoint(0)};
-    ClusterClient client(eps, 1);
+    ClusterClient client(eps);
     EXPECT_EQ(asJson(client.runJobs(specs)), expected);
 }
 
@@ -251,7 +251,7 @@ TEST(PeerLink, OnePersistentConnectionCarriesTheWholeGrid)
 
     ProxiedNode node;
     std::vector<Endpoint> eps{node.front()};
-    ClusterClient client(eps, 1);
+    ClusterClient client(eps);
     EXPECT_EQ(asJson(client.runJobs(specs)), expected);
 
     // The whole pipelined grid — every submit and every deferred
@@ -272,7 +272,7 @@ TEST(PeerLink, DelayedLinkStillDeliversIntactResponses)
     node.fault().setDelayMs(100);
 
     std::vector<Endpoint> eps{node.front()};
-    ClusterClient client(eps, 1, /*timeoutMs=*/10000);
+    ClusterClient client(eps, /*timeoutMs=*/10000);
     const auto begin = std::chrono::steady_clock::now();
     EXPECT_EQ(asJson(client.runJobs(specs)), expected);
     const auto elapsed = std::chrono::steady_clock::now() - begin;
@@ -296,7 +296,7 @@ TEST(PeerLink, GarbageResponseFailsTheGridOverCleanly)
 
     std::vector<Endpoint> eps{p0.address(), p1.address()};
     {
-        ClusterClient warm(eps, 2);
+        ClusterClient warm(eps);
         EXPECT_EQ(asJson(warm.runJobs(specs)), expected);
     }
     fx.flushReplication();
@@ -315,7 +315,7 @@ TEST(PeerLink, GarbageResponseFailsTheGridOverCleanly)
     // response, every pipelined in-flight request on it fails over.
     (dark == 0 ? p0 : p1).setMode(FaultProxy::Mode::Garbage);
 
-    ClusterClient client(eps, 2, /*timeoutMs=*/2000);
+    ClusterClient client(eps, /*timeoutMs=*/2000);
     EXPECT_EQ(asJson(client.runJobs(specs)), expected);
     EXPECT_GT(client.failovers(), 0u);
 
@@ -337,7 +337,7 @@ TEST(PeerLink, MidFrameLinkDeathFailsOverAndHeals)
 
     std::vector<Endpoint> eps{p0.address(), p1.address()};
     {
-        ClusterClient warm(eps, 2);
+        ClusterClient warm(eps);
         EXPECT_EQ(asJson(warm.runJobs(specs)), expected);
     }
     fx.flushReplication();
@@ -353,14 +353,14 @@ TEST(PeerLink, MidFrameLinkDeathFailsOverAndHeals)
     // may leak across rids and every in-flight request fails over.
     darkProxy.setCloseAfterBytes(40);
 
-    ClusterClient client(eps, 2, /*timeoutMs=*/2000);
+    ClusterClient client(eps, /*timeoutMs=*/2000);
     EXPECT_EQ(asJson(client.runJobs(specs)), expected);
     EXPECT_GT(client.failovers(), 0u);
 
     // Heal the link: a fresh client routes primaries again and the
     // reconnected link serves the dark node's own records.
     darkProxy.setCloseAfterBytes(0);
-    ClusterClient healed(eps, 2, /*timeoutMs=*/2000);
+    ClusterClient healed(eps, /*timeoutMs=*/2000);
     EXPECT_EQ(asJson(healed.runJobs(specs)), expected);
 }
 
@@ -424,7 +424,7 @@ TEST(PeerLink, RidlessResponseFailsTheRequestOverCleanly)
     ReplicaCluster fx(1, 1, "");
     fx.start();
     std::vector<Endpoint> eps{peer.address(), fx.endpoint(0)};
-    ClusterClient client(eps, 2);
+    ClusterClient client(eps);
     std::size_t peerOwned = 0;
     for (const JobSpec &s : specs)
         peerOwned += client.ringView().ownerIndex(

@@ -3,14 +3,16 @@
  * exactly the k ring successors (replica-marked on the followers),
  * a cold-restarted node serves its keys from the surviving replicas
  * with zero re-simulations, a corrupt replica heals through
- * re-simulation instead of failing, and the v3 `replicate`/`fetch`
- * ops hold their protocol contract.
+ * re-simulation instead of failing, no node starts a thread of its
+ * own for replication, and the `replicate`/`fetch` ops hold their
+ * protocol contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -64,6 +66,16 @@ localGridJson()
     return asJson(local.run(jobs));
 }
 
+/** Threads in this process, as the kernel lists them. */
+std::size_t
+threadCount()
+{
+    namespace fs = std::filesystem;
+    return static_cast<std::size_t>(
+        std::distance(fs::directory_iterator("/proc/self/task"),
+                      fs::directory_iterator()));
+}
+
 std::vector<std::string>
 gridKeys()
 {
@@ -82,7 +94,7 @@ TEST(Replication, FanOutLandsOnExactlyTheReplicaSet)
     fx.start();
 
     std::vector<Endpoint> eps = fx.boundEndpoints();
-    ClusterClient client(eps, 2);
+    ClusterClient client(eps);
     client.runJobs(smallGridSpecs());
     fx.flushReplication();
 
@@ -113,6 +125,19 @@ TEST(Replication, FanOutLandsOnExactlyTheReplicaSet)
     EXPECT_EQ(fx.sumStat("replica_push_failures"), 0u);
 }
 
+TEST(Replication, StoreBackedNodesStartNoThreadBeforeRun)
+{
+    // A node runs its I/O loop and its workers and nothing else: its
+    // replica pushes ride the loop's peer links. Building store-backed
+    // k=2 nodes and joining them into a ring starts no thread.
+    const std::size_t before = threadCount();
+    ReplicaCluster fx(2, 2, "nothread");
+    const std::vector<Endpoint> eps = fx.boundEndpoints();
+    for (std::size_t i = 0; i < fx.size(); ++i)
+        fx.node(i).configureCluster(eps, eps[i].str());
+    EXPECT_EQ(threadCount(), before);
+}
+
 TEST(Replication, ColdRestartServesFromSurvivingReplicas)
 {
     const std::string expected = localGridJson();
@@ -121,7 +146,7 @@ TEST(Replication, ColdRestartServesFromSurvivingReplicas)
 
     std::vector<Endpoint> eps = fx.boundEndpoints();
     {
-        ClusterClient warm(eps, 2);
+        ClusterClient warm(eps);
         EXPECT_EQ(asJson(warm.runJobs(smallGridSpecs())), expected);
     }
     fx.flushReplication();
@@ -144,7 +169,7 @@ TEST(Replication, ColdRestartServesFromSurvivingReplicas)
     fx.killNode(victim);
     fx.restartNode(victim, /*wipeStore=*/true);
 
-    ClusterClient after(eps, 2);
+    ClusterClient after(eps);
     EXPECT_EQ(asJson(after.runJobs(smallGridSpecs())), expected);
 
     // Zero re-simulations anywhere: the victim pulled every primary
@@ -173,7 +198,7 @@ TEST(Replication, CorruptReplicaHealsThroughReSimulation)
 
     std::vector<Endpoint> eps = fx.boundEndpoints();
     const std::string expected = [&] {
-        ClusterClient warm(eps, 2);
+        ClusterClient warm(eps);
         return asJson(warm.runJobs({spec}));
     }();
     fx.flushReplication();
@@ -192,7 +217,7 @@ TEST(Replication, CorruptReplicaHealsThroughReSimulation)
     // The fetch finds only the corrupt replica (a miss, not an
     // error), so the primary re-simulates — and the fresh result
     // fans out again, healing the follower's record.
-    ClusterClient after(eps, 2);
+    ClusterClient after(eps);
     EXPECT_EQ(asJson(after.runJobs({spec})), expected);
     fx.flushReplication();
 

@@ -97,11 +97,9 @@ makeServerClient(const Options &opts)
     std::string err;
     if (!serve::parseEndpoints(opts.getString("server", ""), eps, err))
         fatal("invalid --server list: ", err);
-    const auto replicas = static_cast<unsigned>(
-        opts.getInt("replicas", 1));
     const auto timeout_ms = static_cast<unsigned>(
         opts.getInt("server-timeout-ms", 0));
-    return serve::ClusterClient(std::move(eps), replicas, timeout_ms);
+    return serve::ClusterClient(std::move(eps), timeout_ms);
 }
 
 void
@@ -115,10 +113,8 @@ printServerSummary(std::size_t jobs, serve::ClusterClient &client)
     s.set("cache_size", stats.get("cache_entries"));
     s.set("disk_hits", stats.get("disk_hits"));
     s.set("simulations", stats.get("simulations"));
-    if (client.failovers() || client.readRepairs()) {
+    if (client.failovers())
         s.set("client_failovers", JsonValue::integer(client.failovers()));
-        s.set("client_read_repairs", JsonValue::integer(client.readRepairs()));
-    }
     s.set("source", JsonValue::string("server"));
     JsonValue o = JsonValue::object();
     o.set("dcgsim_summary", std::move(s));
@@ -158,7 +154,7 @@ main(int argc, char **argv)
                  {"bench", "scheme", "insts", "warmup", "depth", "seed",
                   "gate-iq", "store-delay", "round-robin", "dump-stats",
                   "csv", "json", "jobs", "schema", "server",
-                  "server-stats", "replicas", "server-timeout-ms",
+                  "server-stats", "server-timeout-ms",
                   "list-schemes", "join", "leave", "ring", "help"});
 
     if (opts.has("help")) {
@@ -177,9 +173,6 @@ main(int argc, char **argv)
             "        persistent multiplexed link to a dcgserved"
             " instance, or\n"
             "        ring-routed across a sharded cluster of them)]\n"
-            "       [--replicas=K (match the cluster's --replicas;"
-            " enables\n"
-            "        client-side failover across each key's holders)]\n"
             "       [--server-timeout-ms=N (per-request deadline on"
             " the link;\n"
             "        also bounds connect)]\n"
