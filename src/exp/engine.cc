@@ -167,6 +167,18 @@ Engine::tryCached(const Job &job, RunResult &out)
 }
 
 void
+Engine::adoptStored(const Job &job, const RunResult &r)
+{
+    const std::string key = jobKey(job);
+    bool owner = false;
+    const std::shared_ptr<Entry> entry = lookupOrClaim(key, owner);
+    if (!owner)
+        return;
+    ++diskHitCount;
+    publish(key, entry, r);
+}
+
+void
 Engine::publish(const std::string &key, const std::shared_ptr<Entry> &entry,
                 const RunResult &r)
 {

@@ -109,6 +109,15 @@ class Engine
     bool tryCached(const Job &job, RunResult &out);
 
     /**
+     * Count @p r, a record read from a store outside runOne() — a
+     * server answering store hits on its event loop — as @p job's
+     * disk hit, and publish it in the memory cache. A key already in
+     * the cache counts a hit instead and keeps its entry, so every
+     * job still counts exactly once.
+     */
+    void adoptStored(const Job &job, const RunResult &r);
+
+    /**
      * Attach a persistent store beneath the in-memory cache (nullptr
      * detaches). Not thread-safe against concurrent run()s; attach
      * before submitting work.

@@ -18,11 +18,22 @@
  * call itself would yield EALREADY/EISCONN confusion. Instead an
  * EINTR is reported as EINPROGRESS, which every caller already treats
  * as "poll for completion" — exactly the state the kernel is in.
+ *
+ * Every TCP connection the service makes or accepts runs with
+ * TCP_NODELAY, and acceptRetry()/connectRetry() are where it is set —
+ * so server-accepted connections, peer links and every client get it
+ * without a call site of their own. A frame here is one small request
+ * or reply line the other side is waiting on, often pipelined behind
+ * others on the same link: Nagle's algorithm would hold it until the
+ * previous segment is acknowledged, and the peer's delayed ACK holds
+ * that acknowledgement back for tens of milliseconds.
  */
 
 #ifndef DCG_SERVE_NETIO_HH
 #define DCG_SERVE_NETIO_HH
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -93,25 +104,48 @@ pollRetry(pollfd *fds, nfds_t nfds, int timeoutMs)
     }
 }
 
-/** accept(2) restarted on EINTR. */
+/** Turn Nagle's algorithm off on a TCP socket (see file comment).
+ *  setsockopt(2)'s result: 0, or -1 with errno set. */
+inline int
+setNoDelay(int fd)
+{
+    const int one = 1;
+    return setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/**
+ * accept(2) restarted on EINTR, returning a TCP_NODELAY socket. A
+ * connection that cannot take the option is closed and reported as
+ * the failed accept (-1, with setsockopt's errno).
+ */
 inline int
 acceptRetry(int fd)
 {
     for (;;) {
         const int r = accept(fd, nullptr, nullptr);
-        if (r >= 0 || errno != EINTR)
+        if (r < 0 && errno == EINTR)
+            continue;
+        if (r < 0 || setNoDelay(r) == 0)
             return r;
+        const int err = errno;
+        close(r);
+        errno = err;
+        return -1;
     }
 }
 
 /**
- * connect(2) with EINTR mapped to EINPROGRESS (see file comment): the
- * handshake keeps running in the kernel, so the caller polls for
- * completion exactly as it would for a non-blocking connect.
+ * connect(2) on a socket first set to TCP_NODELAY, with EINTR mapped
+ * to EINPROGRESS (see file comment): the handshake keeps running in
+ * the kernel, so the caller polls for completion exactly as it would
+ * for a non-blocking connect. A socket that cannot take the option
+ * fails like a refused connect (-1, with setsockopt's errno).
  */
 inline int
 connectRetry(int fd, const sockaddr *addr, socklen_t len)
 {
+    if (setNoDelay(fd) != 0)
+        return -1;
     const int r = connect(fd, addr, len);
     if (r < 0 && errno == EINTR)
         errno = EINPROGRESS;

@@ -29,9 +29,10 @@
  * dispatch() and runDue() each iteration with timeoutHintMs() folded
  * into its poll timeout. A callSync() returns only once the owner has
  * driven its request to completion or shutdown() has failed it, so
- * blocking callers must only exist while the owner loop runs — in
- * dcgserved, the workers, whose work starts in run() and which the
- * drain waits out before shutdown().
+ * blocking callers must only exist while the owner loop runs — a
+ * client's threads beside its LinkLoop. dcgserved never blocks on a
+ * peer: its workers only post(), and every other exchange is a
+ * call() from its event loop.
  */
 
 #ifndef DCG_SERVE_PEERLINK_HH

@@ -36,30 +36,14 @@ ReplicatedStore::setEpochViews(const EpochView &cur,
 }
 
 bool
-ReplicatedStore::fetchFrom(std::size_t idx, const JsonValue &req,
-                           const std::string &key, RunResult &out)
-{
-    JsonValue resp;
-    std::string err;
-    if (!pool.callSync(idx, req, resp, err))
-        return false;
-    if (!resp.get("ok").asBool(false))
-        return false;
-    std::vector<RunResult> one;
-    if (!resultsFromJson(resp.get("result"), one, err) ||
-        one.size() != 1)
-        return false;
-    out = std::move(one.front());
-    local->putReplica(key, out);
-    return true;
-}
-
-bool
 ReplicatedStore::get(const std::string &key, RunResult &out)
 {
-    if (local->get(key, out))
-        return true;
+    return local->get(key, out);
+}
 
+void
+ReplicatedStore::fetch(const std::string &key, FetchDone done)
+{
     EpochView cur, prev;
     unsigned reps;
     {
@@ -76,41 +60,61 @@ ReplicatedStore::get(const std::string &key, RunResult &out)
 
     // Only a holder (under either epoch) pulls from peers; everyone
     // else misses locally and lets the owner do the work.
-    const bool selfInCur = std::find(curHolders.begin(),
-                                     curHolders.end(),
-                                     selfIdx) != curHolders.end();
-    const bool selfInPrev = std::find(prevHolders.begin(),
-                                      prevHolders.end(),
-                                      selfIdx) != prevHolders.end();
-    if (!selfInCur && !selfInPrev)
-        return false;
-
-    const JsonValue req = fetchRequest(key);
-
-    // Current-epoch siblings first: ordinary read-repair.
-    for (std::size_t idx : curHolders) {
-        if (idx == selfIdx)
-            continue;
-        if (fetchFrom(idx, req, key, out)) {
-            ++repaired;
-            return true;
-        }
+    const auto holds = [this](const std::vector<std::size_t> &h) {
+        return std::find(h.begin(), h.end(), selfIdx) != h.end();
+    };
+    if (!holds(curHolders) && !holds(prevHolders)) {
+        done(nullptr);
+        return;
     }
 
-    // Then the previous epoch's holders: the handoff leg. The record
-    // may still live only where the old ring placed it.
-    for (std::size_t idx : prevHolders) {
-        if (idx == selfIdx ||
-            std::find(curHolders.begin(), curHolders.end(), idx) !=
-                curHolders.end())
-            continue;
-        if (fetchFrom(idx, req, key, out)) {
-            ++handoffs;
-            return true;
-        }
+    // Current-epoch siblings first: ordinary read-repair. Then the
+    // previous epoch's holders: the handoff leg. The record may still
+    // live only where the old ring placed it.
+    auto walk = std::make_shared<Walk>();
+    walk->key = key;
+    walk->req = fetchRequest(key);
+    walk->done = std::move(done);
+    for (std::size_t idx : curHolders)
+        if (idx != selfIdx)
+            walk->holders.push_back(idx);
+    walk->handoffFrom = walk->holders.size();
+    for (std::size_t idx : prevHolders)
+        if (idx != selfIdx && std::find(curHolders.begin(),
+                                        curHolders.end(),
+                                        idx) == curHolders.end())
+            walk->holders.push_back(idx);
+    step(walk);
+}
+
+void
+ReplicatedStore::step(const std::shared_ptr<Walk> &walk)
+{
+    if (walk->pos == walk->holders.size()) {
+        ++misses;
+        walk->done(nullptr);
+        return;
     }
-    ++misses;
-    return false;
+    pool.call(walk->holders[walk->pos], walk->req,
+              [this, walk](PeerReply reply) {
+                  std::vector<RunResult> one;
+                  std::string err;
+                  if (!reply.transportOk ||
+                      !reply.resp.get("ok").asBool(false) ||
+                      !resultsFromJson(reply.resp.get("result"), one,
+                                       err) ||
+                      one.size() != 1) {
+                      ++walk->pos;
+                      step(walk);
+                      return;
+                  }
+                  local->putReplica(walk->key, one.front());
+                  if (walk->pos < walk->handoffFrom)
+                      ++repaired;
+                  else
+                      ++handoffs;
+                  walk->done(&one.front());
+              });
 }
 
 void

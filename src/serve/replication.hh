@@ -17,23 +17,24 @@
  * deterministic and byte-identical, so concurrent fan-outs of the
  * same key are harmless last-write-wins of identical bytes.
  *
- * Read path (get): local store first. On a local miss — a cold
- * restart, an evicted record, a corrupt file — and only when this
- * node is one of the key's holders, the other holders are asked via
- * the `fetch` op; the first hit is written back locally as a replica
- * record (read-repair) and served. The Engine counts that as a
- * DiskHit, which is precisely what makes a node restarted with an
- * empty disk serve its keys with zero re-simulations as long as one
- * replica survives.
+ * Read path: get() reads the local store and nothing else. A local
+ * miss — a cold restart, an evicted record, a corrupt file — on a key
+ * this node holds is the caller's cue for fetch(), the read-repair
+ * walk: the other holders are asked via the `fetch` op, one at a
+ * time, and the first hit is written back locally as a replica
+ * record and handed to the caller, which serves it as a disk hit.
+ * That is precisely what makes a node restarted with an empty disk
+ * serve its keys with zero re-simulations as long as one replica
+ * survives. Only when every holder missed does the caller simulate.
  *
  * Replica records are ordinary records in the local store, so the
  * server budgets and compacts them there exactly once.
  *
  * Routing follows the server's ring epochs: the constructor takes the
  * current EpochView and setEpochViews() installs every later one. The
- * read path has a *handoff* leg — on a local miss, after the current
- * epoch's sibling holders, the *previous* epoch's holders are asked
- * too (counted separately as handoff fetches). That leg is what lets
+ * walk has a *handoff* leg — after the current epoch's sibling
+ * holders, the *previous* epoch's holders are asked too (counted
+ * separately as handoff fetches). That leg is what lets
  * a node serve an arc it just inherited before the background
  * rebalance push has landed the record, which in turn is what makes a
  * live join/leave lose zero work. Holder indices in a view are
@@ -41,18 +42,18 @@
  * addressed by.
  *
  * Peer I/O: every push and fetch rides the event loop's multiplexed
- * links on the server's one pool — a push as a post(), a fetch as a
- * callSync() on the worker that missed. The server only starts
- * workers (the only callers of get()/put()) in run(), its drain waits
- * for the pool to go idle — posted pushes included — while the loop
- * still drives the links, and it shuts the pool down only then;
- * after that any straggler fails fast and counts as a push failure
- * or a miss.
+ * links on the server's one pool, and nothing here ever waits on a
+ * peer. A push is a post() from the worker that stored the result; a
+ * walk is a continuation on the event loop, each step a call() whose
+ * completion asks the next holder. The server's drain waits for the
+ * pool to go idle and for every open walk while the loop still
+ * drives the links, and it shuts the pool down only then; after that
+ * any straggler fails fast and counts as a push failure or a miss.
  *
  * Thread safety: get()/put() may be called from any worker thread;
- * push completions run on the event loop thread. flush() blocks until
- * every posted push has completed — used by tests that assert on
- * follower state.
+ * fetch() and every completion run on the event loop thread. flush()
+ * blocks until every posted push has completed — used by tests that
+ * assert on follower state.
  */
 
 #ifndef DCG_SERVE_REPLICATION_HH
@@ -61,6 +62,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -93,10 +95,27 @@ class ReplicatedStore : public exp::ResultStoreBase
     ReplicatedStore(const ReplicatedStore &) = delete;
     ReplicatedStore &operator=(const ReplicatedStore &) = delete;
 
+    /** The local store's record for @p key; never asks a peer. */
     bool get(const std::string &key, RunResult &out)
         override DCG_ANY_THREAD;
     void put(const std::string &key, const RunResult &r)
         override DCG_ANY_THREAD;
+
+    /** A walk's outcome: the repaired record, or nullptr when every
+     *  holder missed. */
+    using FetchDone = std::function<void(const RunResult *hit)>;
+
+    /**
+     * The read-repair walk for @p key, which the local store missed:
+     * ask the current epoch's other holders, then the previous
+     * epoch's, one `fetch` at a time. @p done runs exactly once —
+     * with the first valid record, already written back as a replica
+     * and counted as a read repair or handoff fetch, or with nullptr
+     * once every holder missed, counted as a replica miss. A node
+     * that holds @p key under neither epoch asks nobody and counts
+     * nothing. @p done may run before fetch() returns.
+     */
+    void fetch(const std::string &key, FetchDone done) DCG_OWNER_THREAD;
 
     /** Block until every posted fan-out push has completed. */
     void flush() DCG_ANY_THREAD;
@@ -146,9 +165,20 @@ class ReplicatedStore : public exp::ResultStoreBase
     }
 
   private:
-    /** Fetch @p key from @p idx; on success repair locally and serve. */
-    bool fetchFrom(std::size_t idx, const JsonValue &req,
-                   const std::string &key, RunResult &out);
+    /** One read-repair walk, threaded through its completions. */
+    struct Walk
+    {
+        std::string key;
+        JsonValue req;  ///< the `fetch` frame every holder gets
+        /** Current-epoch siblings, then previous-epoch holders. */
+        std::vector<std::size_t> holders;
+        std::size_t handoffFrom = 0;  ///< first previous-epoch holder
+        std::size_t pos = 0;
+        FetchDone done;
+    };
+
+    /** Ask the walk's next holder, or end it as a miss. */
+    void step(const std::shared_ptr<Walk> &walk) DCG_OWNER_THREAD;
 
     /** Count one push's outcome; wakes flush() at the last one. */
     void pushDone(const PeerReply &reply);

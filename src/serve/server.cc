@@ -308,9 +308,12 @@ Server::workerLoop()
             // observe "queue empty, nobody busy" mid-handoff.
             busyWorkers.fetch_add(1, std::memory_order_acq_rel);
         }
-        // Workers only simulate. Peer exchanges — forwards, failover
-        // walks, replica traffic — live on the I/O thread's
-        // multiplexed links (stepForward), never here.
+        // Workers only simulate: a job gets here once the local store
+        // and every holder's replica have missed (serveLocal). runOne()
+        // reads the local store once more — a replica push may have
+        // landed since — and the put after a simulation posts its
+        // replica pushes without waiting on them. Every peer exchange
+        // lives on the I/O thread's multiplexed links, never here.
         Event done;
         done.to = std::move(item.to);
         done.failovers = item.failovers;
@@ -327,7 +330,7 @@ Server::workerLoop()
 bool
 Server::idle()
 {
-    if (inflightForwards != 0 || !pool->idle())
+    if (inflightForwards != 0 || inflightFetches != 0 || !pool->idle())
         return false;
     if (rebal.active || adm.active)
         return false;
@@ -457,11 +460,16 @@ Server::run()
         }
     }
 
-    // Fail any forwards the drain grace abandoned (their finishJob
-    // responses land in conn buffers about to close — same fate as
-    // any other undelivered output) and unblock every thread parked
-    // in a callSync before the workers are joined below: from here on
-    // every peer exchange fails fast.
+    // Stop the workers before failing what the drain grace abandoned:
+    // a walk the shutdown ends as a miss must not start a simulation.
+    // From here on every peer exchange fails fast, and the replies of
+    // abandoned forwards and walks land in conn buffers about to
+    // close — the same fate as any other undelivered output.
+    {
+        std::lock_guard<std::mutex> lk(qMutex);
+        workersStop = true;
+    }
+    qCv.notify_all();
     pool->shutdown();
     drainEvents();
 
@@ -472,11 +480,6 @@ Server::run()
         close(listenFd);
         listenFd = -1;
     }
-    {
-        std::lock_guard<std::mutex> lk(qMutex);
-        workersStop = true;
-    }
-    qCv.notify_all();
     for (std::thread &t : workerThreads)
         t.join();
     workerThreads.clear();
@@ -729,15 +732,16 @@ Server::handleSubmit(OpCall &c)
         return resultResponse(cached);
     }
 
-    // Bounded admission. In-flight forwards hold no queue slot but
-    // count against the same capacity — peer traffic must feel
-    // backpressure too.
+    // Bounded admission. In-flight forwards and open read-repair walks
+    // hold no queue slot but count against the same capacity — peer
+    // traffic must feel backpressure too.
     std::size_t queue_len;
     {
         std::lock_guard<std::mutex> lk(qMutex);
         queue_len = pending.size();
     }
-    queue_len += static_cast<std::size_t>(inflightForwards);
+    queue_len += static_cast<std::size_t>(inflightForwards +
+                                          inflightFetches);
     if (queue_len >= cfg.queueCapacity) {
         ++submitsRejected;
         JsonValue resp = errorResponse("busy", "job queue is full");
@@ -773,9 +777,53 @@ Server::handleSubmit(OpCall &c)
         WorkItem item;
         item.to = park(c);
         item.job = std::move(job);
-        enqueueLocal(std::move(item));
+        serveLocal(std::move(item));
     }
     return JsonValue();
+}
+
+void
+Server::serveLocal(WorkItem item)
+{
+    if (!repl) {
+        enqueueLocal(std::move(item));
+        return;
+    }
+    // The local store first, read here as handleFetch reads it.
+    const std::string key = exp::jobKey(item.job);
+    RunResult stored;
+    if (repl->get(key, stored)) {
+        serveStored(item, stored);
+        return;
+    }
+    // Then the read-repair walk over the other holders, stepped by
+    // link completions on this thread; a worker gets the job only
+    // when every holder missed.
+    auto held = std::make_shared<WorkItem>(std::move(item));
+    ++inflightFetches;
+    repl->fetch(key, [this, held](const RunResult *hit) {
+        --inflightFetches;
+        if (hit)
+            serveStored(*held, *hit);
+        else
+            enqueueLocal(std::move(*held));
+    });
+    // After the call: a walk that ended before fetch() returned was
+    // never open.
+    peakInflightFetches = std::max(peakInflightFetches, inflightFetches);
+}
+
+void
+Server::serveStored(const WorkItem &item, const RunResult &r)
+{
+    eng.adoptStored(item.job, r);
+    if (cfg.cacheBudgetBytes)
+        eng.evictTo(cfg.cacheBudgetBytes);
+    Event ev;
+    ev.to = item.to;
+    ev.failovers = item.failovers;
+    ev.result = r;
+    finishJob(ev);
 }
 
 void
@@ -806,15 +854,15 @@ Server::stepForward(const std::shared_ptr<Forward> &fwd)
 
     const std::size_t idx = fwd->holders[fwd->pos];
     if (idx == selfIdx) {
-        // We hold a replica: serve the job here. The worker item
-        // carries the failovers burned getting to us; the forward
-        // slot converts into a queue slot.
+        // We hold a replica: serve the job here. The item carries the
+        // failovers burned getting to us; the forward slot converts
+        // into a walk or queue slot.
         WorkItem item;
         item.to = fwd->to;
         item.job = fwd->job;
         item.failovers = static_cast<unsigned>(fwd->pos);
         --inflightForwards;
-        enqueueLocal(std::move(item));
+        serveLocal(std::move(item));
         return;
     }
 
@@ -1646,6 +1694,9 @@ Server::statsJson() const
               JsonValue::integer(inflightForwards));
         s.set("forwards_inflight_peak",
               JsonValue::integer(peakInflightForwards));
+        s.set("fetches_inflight", JsonValue::integer(inflightFetches));
+        s.set("fetches_inflight_peak",
+              JsonValue::integer(peakInflightFetches));
         s.set("rebalance_arcs_moved",
               JsonValue::integer(rebalArcsMoved));
         s.set("rebalance_bytes", JsonValue::integer(rebalBytes));

@@ -15,14 +15,17 @@
  *    and drives every peer exchange asynchronously: a forwarded
  *    submit is a pipelined submit frame on the owner's link, its
  *    failover walk a continuation chain (Forward) stepped by link
- *    completions, never a blocked thread.
+ *    completions, never a blocked thread. A job served here is
+ *    looked up in the local store on this thread, and on a miss its
+ *    read-repair walk (ReplicatedStore::fetch) is another such chain;
+ *    a store or replica hit is answered without a worker.
  *
  *  - N worker threads pop admitted jobs and ONLY simulate
- *    (Engine::runOne). Results flow back to the I/O thread as events
- *    through the wake pipe, which writes each submit's reply. A
- *    worker's store write posts its replica pushes on the pool and a
- *    worker's store miss may block on a read-repair fetch; the I/O
- *    thread carries both over the peer links.
+ *    (Engine::runOne): a job reaches them only after the local store
+ *    and every holder missed. Results flow back to the I/O thread as
+ *    events through the wake pipe, which writes each submit's reply.
+ *    A worker's store write posts its replica pushes on the pool
+ *    without waiting for them; no worker ever waits on a peer.
  *
  * Requests: a submit is answered exactly once, when its job finishes
  * (a warm cache hit at once). Its reply target — connection id and
@@ -57,11 +60,12 @@
  * repaired by pulling a sibling's record ("fetch" op). The pushes and
  * the read-repair fetches ride the same multiplexed links as
  * forwards: the one PeerPool, built in the constructor (rebuilt by
- * configureCluster() before run()), which the ReplicatedStore posts
- * to directly. Forwarding is failover-aware: when the key's primary
+ * configureCluster() before run()), which the ReplicatedStore calls
+ * directly. Open walks, like in-flight forwards, count against
+ * queueCapacity. Forwarding is failover-aware: when the key's primary
  * is unreachable the Forward chain walks the remaining holders in
- * ring order — enqueueing the job locally when this node is itself
- * one of them — before reporting forward_failed. A forwarded submit marked
+ * ring order — serving the job here when this node is itself one of
+ * them — before reporting forward_failed. A forwarded submit marked
  * "replica": true is such a failover: a holder receiving one serves
  * it instead of bouncing not_owner.
  *
@@ -101,11 +105,13 @@
  *
  * Shutdown: requestStop() (async-signal-safe; wired to SIGINT/SIGTERM
  * by dcgserved) stops accepting and admitting, drains queued and
- * running jobs and posted replica pushes while the event loop still
- * drives the peer links, flushes responses, then returns from run().
- * A drain grace period bounds the wait; past it the pool is shut
- * down, so every peer exchange still outstanding — a push, a fetch a
- * worker is blocked on — fails fast instead of holding run() open.
+ * running jobs, in-flight forwards, open read-repair walks and posted
+ * replica pushes while the event loop still drives the peer links,
+ * flushes responses, then returns from run(). A drain grace period
+ * bounds the wait; past it the workers are told to stop and the pool
+ * is shut down, so every peer exchange still outstanding — a
+ * forward, a walk's fetch, a push — fails fast instead of holding
+ * run() open, and a walk ended that way starts no simulation.
  */
 
 #ifndef DCG_SERVE_SERVER_HH
@@ -239,7 +245,8 @@ class Server
         std::chrono::steady_clock::time_point since;  ///< parked at
     };
 
-    /** One locally-simulated job — the ONLY thing workers see. */
+    /** One job served on this node — a worker sees it only when
+     *  every stored copy missed. */
     struct WorkItem
     {
         ParkedResp to;  ///< the submit this job answers
@@ -371,6 +378,11 @@ class Server
     void forwardReply(const std::shared_ptr<Forward> &fwd,
                       PeerReply reply);
     void deliverForward(const std::shared_ptr<Forward> &fwd, Event ev);
+    /** Serve @p item on this node: from the local store, else from
+     *  the read-repair walk, else on a worker. */
+    void serveLocal(WorkItem item);
+    /** Answer @p item with @p r, a store or replica record. */
+    void serveStored(const WorkItem &item, const RunResult &r);
     void enqueueLocal(WorkItem item);
     /** Routing consults the ring: the current epoch is not just this
      *  node. */
@@ -397,6 +409,7 @@ class Server
      *  thread's event loop; never null. */
     std::unique_ptr<PeerPool> pool;
     std::uint64_t inflightForwards = 0;  ///< I/O thread only
+    std::uint64_t inflightFetches = 0;   ///< open walks; I/O thread only
 
     /// @name Cluster state (owner/I/O thread; epochs mutate it live)
     /// @{
@@ -438,6 +451,7 @@ class Server
     /// @name Service counters (I/O thread only)
     /// @{
     std::uint64_t peakInflightForwards = 0;
+    std::uint64_t peakInflightFetches = 0;
     std::uint64_t jobsSubmitted = 0;
     std::uint64_t jobsCompleted = 0;
     std::uint64_t requestsInflight = 0;  ///< submits owed a reply

@@ -35,16 +35,43 @@ fnv1a(const std::string &s, std::uint64_t h)
  * collisions out of reach for any realistic sweep; a real collision
  * is still caught by the key stored inside the record.
  */
-std::string
-recordName(const std::string &key)
+RecordId
+recordId(const std::string &key)
 {
-    const std::uint64_t a = fnv1a(key, 0xcbf29ce484222325ULL);
-    const std::uint64_t b = fnv1a(key, 0x84222325cbf29ce4ULL);
+    return {fnv1a(key, 0xcbf29ce484222325ULL),
+            fnv1a(key, 0x84222325cbf29ce4ULL)};
+}
+
+/** The file a record lives in: 32 lowercase hex digits + ".json". */
+std::string
+recordName(const RecordId &id)
+{
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%016llx%016llx.json",
-                  static_cast<unsigned long long>(a),
-                  static_cast<unsigned long long>(b));
+                  static_cast<unsigned long long>(id.hi),
+                  static_cast<unsigned long long>(id.lo));
     return buf;
+}
+
+/** The id @p name spells; false for any name recordName() cannot
+ *  produce. */
+bool
+parseRecordName(const std::string &name, RecordId &id)
+{
+    if (name.size() != 37 || name.compare(32, 5, ".json") != 0)
+        return false;
+    std::uint64_t half[2] = {0, 0};
+    for (std::size_t i = 0; i < 32; ++i) {
+        const char c = name[i];
+        const int digit = c >= '0' && c <= '9'   ? c - '0'
+                          : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                                 : -1;
+        if (digit < 0)
+            return false;
+        half[i / 16] = half[i / 16] << 4 | static_cast<unsigned>(digit);
+    }
+    id = {half[0], half[1]};
+    return true;
 }
 
 /** A leftover from an interrupted put(): "<record>.json.tmp.<n>". */
@@ -74,7 +101,8 @@ validRecordFile(const fs::path &path)
         h.get("dcg_store").asI64(-1) != kStoreFormatVersion)
         return false;
     const std::string &key = h.get("key").asString();
-    if (key.empty() || recordName(key) != path.filename().string())
+    if (key.empty() ||
+        recordName(recordId(key)) != path.filename().string())
         return false;
     std::vector<RunResult> results;
     return tryReadResultsJson(is, results, &err) && results.size() == 1;
@@ -96,18 +124,16 @@ ResultStore::ResultStore(const std::string &directory)
     // first" a long-running one would.
     struct Found
     {
-        std::string name;
+        RecordId id;
         std::uint64_t bytes = 0;
         fs::file_time_type mtime;
     };
     std::vector<Found> found;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (!entry.is_regular_file() ||
-            entry.path().extension() != ".json" ||
-            isStaleTmp(entry.path().filename().string()))
-            continue;
         Found f;
-        f.name = entry.path().filename().string();
+        if (!entry.is_regular_file() ||
+            !parseRecordName(entry.path().filename().string(), f.id))
+            continue;
         std::error_code fec;
         f.bytes = entry.file_size(fec);
         f.mtime = entry.last_write_time(fec);
@@ -119,10 +145,10 @@ ResultStore::ResultStore(const std::string &directory)
     std::sort(found.begin(), found.end(),
               [](const Found &a, const Found &b) {
                   return a.mtime != b.mtime ? a.mtime < b.mtime
-                                            : a.name < b.name;
+                                            : a.id < b.id;
               });
     for (const Found &f : found) {
-        index.emplace(f.name, Rec{f.bytes, ++useClock});
+        index.emplace(f.id, Rec{f.bytes, ++useClock});
         totalBytes += f.bytes;
     }
 }
@@ -130,7 +156,7 @@ ResultStore::ResultStore(const std::string &directory)
 std::string
 ResultStore::recordPath(const std::string &key) const
 {
-    return (fs::path(dir) / recordName(key)).string();
+    return (fs::path(dir) / recordName(recordId(key))).string();
 }
 
 std::size_t
@@ -155,7 +181,7 @@ ResultStore::setBudgetBytes(std::uint64_t b)
         std::lock_guard<std::mutex> lk(indexMutex);
         budget = b;
         if (budget)
-            dropped = evictLocked(budget, "");
+            dropped = evictLocked(budget, nullptr);
     }
     if (dropped)
         inform("result store: budget ", b, " B evicted ", dropped,
@@ -201,7 +227,7 @@ ResultStore::get(const std::string &key, RunResult &out)
     out = std::move(results.front());
 
     std::lock_guard<std::mutex> lk(indexMutex);
-    auto it = index.find(recordName(key));
+    auto it = index.find(recordId(key));
     if (it != index.end())
         it->second.lastUse = ++useClock;
     return true;
@@ -237,8 +263,8 @@ void
 ResultStore::putRecord(const std::string &key, const RunResult &r,
                        bool replica)
 {
-    const std::string name = recordName(key);
-    const fs::path final_path = fs::path(dir) / name;
+    const RecordId id = recordId(key);
+    const fs::path final_path = fs::path(dir) / recordName(id);
     const fs::path tmp_path =
         final_path.string() + ".tmp." +
         std::to_string(tmpCounter.fetch_add(1));
@@ -280,31 +306,31 @@ ResultStore::putRecord(const std::string &key, const RunResult &r,
     }
 
     std::lock_guard<std::mutex> lk(indexMutex);
-    auto [it, inserted] = index.emplace(name, Rec{});
+    auto [it, inserted] = index.emplace(id, Rec{});
     if (!inserted)
         totalBytes -= std::min(totalBytes, it->second.bytes);
     it->second.bytes = ec ? 0 : written;
     it->second.lastUse = ++useClock;
     totalBytes += it->second.bytes;
     if (budget && totalBytes > budget)
-        evictLocked(budget, name);
+        evictLocked(budget, &id);
 }
 
 std::vector<std::string>
 ResultStore::keys() const
 {
-    std::vector<std::string> names;
+    std::vector<RecordId> ids;
     {
         std::lock_guard<std::mutex> lk(indexMutex);
-        names.reserve(index.size());
-        for (const auto &[name, rec] : index)
-            names.push_back(name);
+        ids.reserve(index.size());
+        for (const auto &[id, rec] : index)
+            ids.push_back(id);
     }
 
     std::vector<std::string> out;
-    out.reserve(names.size());
-    for (const std::string &name : names) {
-        std::ifstream is(fs::path(dir) / name);
+    out.reserve(ids.size());
+    for (const RecordId &id : ids) {
+        std::ifstream is(fs::path(dir) / recordName(id));
         std::string header;
         if (!is || !std::getline(is, header))
             continue;  // evicted/compacted away mid-scan
@@ -321,13 +347,13 @@ ResultStore::keys() const
 }
 
 std::size_t
-ResultStore::evictLocked(std::uint64_t target, const std::string &keep)
+ResultStore::evictLocked(std::uint64_t target, const RecordId *keep)
 {
     std::size_t dropped = 0;
     while (totalBytes > target) {
         auto victim = index.end();
         for (auto it = index.begin(); it != index.end(); ++it) {
-            if (it->first == keep)
+            if (keep && it->first == *keep)
                 continue;
             if (victim == index.end() ||
                 it->second.lastUse < victim->second.lastUse)
@@ -335,10 +361,11 @@ ResultStore::evictLocked(std::uint64_t target, const std::string &keep)
         }
         if (victim == index.end())
             break;  // nothing evictable (at most the kept record)
+        const std::string name = recordName(victim->first);
         std::error_code ec;
-        fs::remove(fs::path(dir) / victim->first, ec);
+        fs::remove(fs::path(dir) / name, ec);
         if (ec)
-            warn("result store: cannot evict '", victim->first, "': ",
+            warn("result store: cannot evict '", name, "': ",
                  ec.message());
         totalBytes -= std::min(totalBytes, victim->second.bytes);
         index.erase(victim);
@@ -352,7 +379,7 @@ std::size_t
 ResultStore::evictTo(std::uint64_t budgetBytes)
 {
     std::lock_guard<std::mutex> lk(indexMutex);
-    return evictLocked(budgetBytes, "");
+    return evictLocked(budgetBytes, nullptr);
 }
 
 std::size_t
@@ -361,7 +388,7 @@ ResultStore::compact()
     std::lock_guard<std::mutex> lk(indexMutex);
 
     std::size_t removed = 0;
-    std::unordered_map<std::string, Rec> fresh;
+    std::unordered_map<RecordId, Rec, IdHash> fresh;
     std::uint64_t freshBytes = 0;
     std::error_code ec;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
@@ -378,7 +405,8 @@ ResultStore::compact()
         }
         if (entry.path().extension() != ".json")
             continue;
-        if (!validRecordFile(entry.path())) {
+        RecordId id;
+        if (!parseRecordName(name, id) || !validRecordFile(entry.path())) {
             std::error_code fec;
             fs::remove(entry.path(), fec);
             ++removed;
@@ -388,11 +416,11 @@ ResultStore::compact()
         std::error_code fec;
         Rec rec;
         rec.bytes = entry.file_size(fec);
-        auto it = index.find(name);
+        auto it = index.find(id);
         rec.lastUse = it != index.end() ? it->second.lastUse
                                         : ++useClock;
         freshBytes += rec.bytes;
-        fresh.emplace(name, rec);
+        fresh.emplace(id, rec);
     }
     if (ec) {
         warn("result store: compaction scan of '", dir,
@@ -404,7 +432,7 @@ ResultStore::compact()
     totalBytes = freshBytes;
     ++compactPasses;
     if (budget)
-        removed += evictLocked(budget, "");
+        removed += evictLocked(budget, nullptr);
     return removed;
 }
 

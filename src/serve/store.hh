@@ -40,6 +40,7 @@
 #define DCG_SERVE_STORE_HH
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -50,6 +51,16 @@
 #include "exp/engine.hh"
 
 namespace dcg::serve {
+
+/** A record's identity: the 128-bit hash of its job key, which also
+ *  names its file. */
+struct RecordId
+{
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+
+    auto operator<=>(const RecordId &) const = default;
+};
 
 class ResultStore : public exp::ResultStoreBase
 {
@@ -158,18 +169,28 @@ class ResultStore : public exp::ResultStoreBase
         std::uint64_t lastUse = 0;
     };
 
+    /** The id is already a hash: its high half is the bucket hash. */
+    struct IdHash
+    {
+        std::size_t operator()(const RecordId &id) const noexcept
+        {
+            return static_cast<std::size_t>(id.hi);
+        }
+    };
+
     /** Drop LRU records until totalBytes <= budget; indexMutex held.
-     *  @p keep (a record file name) is never evicted. */
-    std::size_t evictLocked(std::uint64_t budget,
-                            const std::string &keep)
+     *  @p keep (null = none) is never evicted. */
+    std::size_t evictLocked(std::uint64_t budget, const RecordId *keep)
         DCG_REQUIRES(indexMutex);
     void putRecord(const std::string &key, const RunResult &r,
                    bool replica);
 
     std::string dir;
     mutable std::mutex indexMutex;
-    std::unordered_map<std::string, Rec> index
-        DCG_GUARDED_BY(indexMutex);  ///< by record name
+    /** By id rather than file name: an entry then needs no string of
+     *  its own, and a long-lived node keeps one entry per record. */
+    std::unordered_map<RecordId, Rec, IdHash> index
+        DCG_GUARDED_BY(indexMutex);
     std::uint64_t totalBytes DCG_GUARDED_BY(indexMutex) = 0;
     std::uint64_t useClock DCG_GUARDED_BY(indexMutex) = 0;
     std::uint64_t budget DCG_GUARDED_BY(indexMutex) = 0;

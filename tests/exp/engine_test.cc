@@ -250,6 +250,31 @@ TEST(Engine, TryCachedPeeksWithoutBlockingOrSimulating)
     EXPECT_EQ(engine.simulations(), 1u);
 }
 
+TEST(Engine, AdoptStoredCountsOneDiskHitAndWarmsTheCache)
+{
+    const Job job = makeJob(profileByName("gzip"),
+                            table1Config("dcg"), kInsts,
+                            kWarmup);
+    const RunResult stored = Engine(1).runOne(job);
+
+    Engine engine(1);
+    engine.adoptStored(job, stored);
+    EXPECT_EQ(engine.diskHits(), 1u);
+    EXPECT_EQ(engine.cacheMisses(), 1u);
+    EXPECT_EQ(engine.simulations(), 0u);
+
+    // The adopted record is a warm entry from then on, and adopting
+    // the key again counts a hit, not a second disk hit.
+    RunResult peeked;
+    ASSERT_TRUE(engine.tryCached(job, peeked));
+    expectBitIdentical(stored, peeked);
+    engine.adoptStored(job, stored);
+    expectBitIdentical(stored, engine.runOne(job));
+    EXPECT_EQ(engine.diskHits(), 1u);
+    EXPECT_EQ(engine.cacheHits(), 3u);
+    EXPECT_EQ(engine.simulations(), 0u);
+}
+
 namespace {
 
 /** Set/clear DCG_JOBS for one scope, restoring the old value after. */

@@ -346,11 +346,12 @@ TEST(Failover, BlackholedHolderCannotHoldAStoppingNodePastItsDrainGrace)
             conn.roundTrip(submit, resp, err);
     });
 
-    // Wait until a worker is blocked on the fetch to the dark holder.
+    // Wait until the read-repair walk's fetch to the dark holder is
+    // open.
     bool fetching = false;
     for (int i = 0; i < 500 && !fetching; ++i) {
         const JsonValue st = fx.nodeStats(node);
-        fetching = st.get("busy_workers").asU64(0) == 1 &&
+        fetching = st.get("fetches_inflight").asU64(0) >= 1 &&
                    st.get("peer_requests").asU64(0) >= 1 &&
                    darkProxy.connectionsSeen() >= 1;
         if (!fetching)

@@ -6,8 +6,8 @@
  * Extends the pattern of cluster_test.cc's fixture with the three
  * capabilities fault-injection tests need:
  *
- *  - replication and drain knobs (replicas / peerTimeoutMs /
- *    drainGraceMs) on every node;
+ *  - replication, drain and worker knobs (replicas / peerTimeoutMs /
+ *    drainGraceMs / workers) on every node;
  *  - a two-phase start, so the canonical ring can be built on
  *    addresses *other* than the bind addresses — in practice the
  *    faultnet proxy addresses, which puts a FaultProxy on every
@@ -58,9 +58,10 @@ class ReplicaCluster
     ReplicaCluster(std::size_t n, unsigned replicas,
                    const std::string &storeTag,
                    unsigned peerTimeoutMs = 0,
-                   unsigned drainGraceMs = ServerConfig{}.drainGraceMs)
+                   unsigned drainGraceMs = ServerConfig{}.drainGraceMs,
+                   unsigned workers = 2)
         : replicaCount(replicas), peerTimeout(peerTimeoutMs),
-          drainGrace(drainGraceMs)
+          drainGrace(drainGraceMs), workerCount(workers)
     {
         for (std::size_t i = 0; i < n; ++i) {
             ServerConfig cfg = baseConfig(i, storeTag);
@@ -232,7 +233,7 @@ class ReplicaCluster
         ServerConfig cfg;
         cfg.host = "127.0.0.1";
         cfg.port = 0;
-        cfg.workers = 2;
+        cfg.workers = workerCount;
         cfg.replicas = replicaCount;
         cfg.peerTimeoutMs = peerTimeout;
         cfg.drainGraceMs = drainGrace;
@@ -257,6 +258,7 @@ class ReplicaCluster
     unsigned replicaCount;
     unsigned peerTimeout;
     unsigned drainGrace;
+    unsigned workerCount;
     std::vector<std::unique_ptr<Server>> servers;
     std::vector<std::thread> threads;
     std::vector<std::uint16_t> ports;

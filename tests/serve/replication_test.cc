@@ -4,21 +4,24 @@
  * a cold-restarted node serves its keys from the surviving replicas
  * with zero re-simulations, a corrupt replica heals through
  * re-simulation instead of failing, no node starts a thread of its
- * own for replication, and the `replicate`/`fetch` ops hold their
- * protocol contract.
+ * own for replication, no worker waits on a read-repair fetch, and
+ * the `replicate`/`fetch` ops hold their protocol contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <thread>
 
 #include "exp/engine.hh"
 #include "exp/job.hh"
 #include "serve/client.hh"
+#include "serve/faultnet.hh"
 #include "serve/replica_cluster.hh"
 #include "sim/report.hh"
 
@@ -136,6 +139,98 @@ TEST(Replication, StoreBackedNodesStartNoThreadBeforeRun)
     for (std::size_t i = 0; i < fx.size(); ++i)
         fx.node(i).configureCluster(eps, eps[i].str());
     EXPECT_EQ(threadCount(), before);
+}
+
+TEST(Replication, ReadRepairWalkNeverHoldsAWorker)
+{
+    // One worker per node, and a sibling that accepts and never
+    // answers: a read-repair fetch to it ends only at the peer
+    // timeout, far beyond how long the stored job may take.
+    constexpr unsigned kPeerTimeoutMs = 10000;
+    constexpr auto kAnswerWithin = std::chrono::milliseconds(2000);
+    ReplicaCluster fx(2, 2, "nowait", kPeerTimeoutMs,
+                      ServerConfig{}.drainGraceMs, /*workers=*/1);
+    FaultProxy p0(fx.endpoint(0));
+    FaultProxy p1(fx.endpoint(1));
+    fx.start({p0.address(), p1.address()});
+    constexpr std::size_t node = 0;
+    FaultProxy &darkProxy = p1;
+
+    // Two keys node 0 owns: one nobody has computed, and one whose
+    // record is on node 0's disk but not in its memory cache.
+    std::vector<JobSpec> owned;
+    for (std::uint64_t seed = 1; owned.size() < 2 && seed < 256;
+         ++seed) {
+        JobSpec s;
+        s.bench = "gzip";
+        s.insts = kInsts;
+        s.warmup = kWarmup;
+        s.seed = seed;
+        if (fx.node(node).ringView().ownerIndex(
+                exp::jobKey(s.toJob())) == node)
+            owned.push_back(s);
+    }
+    ASSERT_EQ(owned.size(), 2u);
+    const JobSpec &fresh = owned[0];
+    const JobSpec &stored = owned[1];
+    exp::Engine local(1);
+    const std::string freshWant = asJson({local.runOne(fresh.toJob())});
+    const RunResult storedResult = local.runOne(stored.toJob());
+    ResultStore(fx.storeDir(node))
+        .put(exp::jobKey(stored.toJob()), storedResult);
+
+    darkProxy.setMode(FaultProxy::Mode::Blackhole);
+    const auto submit = [&](const JobSpec &spec) {
+        Connection conn;
+        std::string err;
+        JsonValue req = JsonValue::object();
+        req.set("op", JsonValue::string("submit"));
+        req.set("job", spec.toJson());
+        JsonValue resp;
+        std::vector<RunResult> one;
+        if (!conn.open(fx.endpoint(node), err) ||
+            !conn.roundTrip(req, resp, err) ||
+            !resultsFromJson(resp.get("result"), one, err))
+            return "error: " + err;
+        return asJson(one);
+    };
+    std::string freshGot;
+    std::thread freshSubmitter([&] { freshGot = submit(fresh); });
+
+    // The fresh job's walk has sent its fetch into the blackhole.
+    bool walking = false;
+    for (int i = 0; i < 500 && !walking; ++i) {
+        walking = fx.nodeStats(node).get("peer_requests").asU64(0) >= 1 &&
+                  darkProxy.connectionsSeen() >= 1;
+        if (!walking)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(walking) << "no read-repair fetch reached the sibling";
+    JsonValue st = fx.nodeStats(node);
+    EXPECT_EQ(st.get("busy_workers").asU64(99), 0u);
+    EXPECT_EQ(st.get("fetches_inflight").asU64(0), 1u);
+
+    // The stored job is served from the local store while the walk is
+    // still open — no worker, no peer, no wait.
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(submit(stored), asJson({storedResult}));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, kAnswerWithin);
+    st = fx.nodeStats(node);
+    EXPECT_EQ(st.get("disk_hits").asU64(0), 1u);
+    EXPECT_EQ(st.get("simulations").asU64(99), 0u);
+    EXPECT_EQ(st.get("fetches_inflight").asU64(0), 1u);
+
+    // Heal the link: the cut fails the fetch, the walk ends as a
+    // miss, and only then does the worker simulate the fresh job.
+    darkProxy.setMode(FaultProxy::Mode::Pass);
+    darkProxy.severActive();
+    freshSubmitter.join();
+    EXPECT_EQ(freshGot, freshWant);
+    st = fx.nodeStats(node);
+    EXPECT_EQ(st.get("simulations").asU64(0), 1u);
+    EXPECT_EQ(st.get("replica_misses").asU64(0), 1u);
+    EXPECT_EQ(st.get("fetches_inflight").asU64(99), 0u);
+    EXPECT_EQ(st.get("fetches_inflight_peak").asU64(0), 1u);
 }
 
 TEST(Replication, ColdRestartServesFromSurvivingReplicas)
