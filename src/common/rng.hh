@@ -11,6 +11,8 @@
 #ifndef DCG_COMMON_RNG_HH
 #define DCG_COMMON_RNG_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,11 +44,14 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double
-    nextDouble()
+    double nextDouble() { return toUnit(next()); }
+
+    /** The double nextDouble() makes of the next() value @p x. */
+    static double
+    toUnit(std::uint64_t x)
     {
         // 53 high bits -> [0, 1) with full double precision.
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(x >> 11) * 0x1.0p-53;
     }
 
     /** Uniform integer in [0, bound) using rejection-free mapping. */
@@ -72,10 +77,31 @@ class Rng
     }
 
     /**
+     * The number of draws whose nextDouble() value lies below @p u,
+     * counted by their 53 high bits m (the value is m * 2^-53):
+     * ceil(u * 2^53) for u clamped to [0, 1], exact because the scale
+     * is a power of two.
+     */
+    static std::uint64_t drawsBelow(double u);
+
+    /**
+     * One draw, true when its 53 high bits are below @p threshold:
+     * below(drawsBelow(p)) is bernoulli(p) for 0 < p < 1 as one
+     * integer test, the same draw and the same outcome.
+     */
+    bool below(std::uint64_t threshold) { return (next() >> 11) < threshold; }
+
+    /**
      * Geometric number of failures before first success,
      * P(k) = (1-p)^k p. Returns values in [0, cap].
      */
     unsigned geometric(double p, unsigned cap = 1u << 20);
+
+    /**
+     * The closed form behind geometric(): the value for the uniform
+     * @p u, given log1pNegP = std::log1p(-p) with 0 < p < 1.
+     */
+    static unsigned geometricAt(double u, double log1pNegP, unsigned cap);
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
@@ -91,23 +117,71 @@ class Rng
 };
 
 /**
+ * One byte per range ("bucket") of Rng::next() values, indexed by the
+ * value's top kBits bits. The samplers below store the answer shared
+ * by every draw in a bucket, or kStraddles when the answer changes
+ * inside the bucket (or does not fit a byte); a straddling draw is
+ * answered by the sampler's reference code from the same value, so a
+ * table-driven sampler consumes the same draws and returns the same
+ * values as its reference.
+ */
+class DrawTable
+{
+  public:
+    static constexpr unsigned kBits = 10;
+    static constexpr std::size_t kBuckets = std::size_t{1} << kBits;
+    static constexpr std::uint8_t kStraddles = 0xff;
+
+    DrawTable() { entry.fill(kStraddles); }
+
+    /** The entry for the next() value @p x. */
+    std::uint8_t
+    operator[](std::uint64_t x) const
+    {
+        return entry[x >> (64 - kBits)];
+    }
+
+    /**
+     * Store @p value, if it fits below kStraddles, in every bucket
+     * whose draws x all have from <= Rng::toUnit(x) < to.
+     */
+    void fill(double from, double to, unsigned value);
+
+    /** Buckets left to the reference code. */
+    std::size_t straddling() const;
+
+  private:
+    std::array<std::uint8_t, kBuckets> entry;
+};
+
+/**
  * Sampler for a fixed discrete distribution (e.g. an instruction mix).
- * Built once from weights; sampling is O(n) over a small table, which
- * beats alias tables for the ~10-entry mixes used here.
+ * A DrawTable answers most draws with one load; the linear scan over
+ * the cumulative bounds is the reference and answers the rest. A
+ * bucket is exact by comparison alone: when no bound lies inside it,
+ * the scan returns one index for every draw in it.
  */
 class DiscreteSampler
 {
   public:
-    DiscreteSampler() = default;
-
     /** @param weights non-negative weights; need not sum to one. */
     explicit DiscreteSampler(const std::vector<double> &weights);
 
     /** Draw an index in [0, size). Inline: one draw per micro-op. */
+    unsigned sample(Rng &rng) const { return at(rng.next()); }
+
+    /** The index sample() returns for the next() value @p x. */
     unsigned
-    sample(Rng &rng) const
+    at(std::uint64_t x) const
     {
-        const double u = rng.nextDouble();
+        const std::uint8_t i = table[x];
+        return i != DrawTable::kStraddles ? i : scan(Rng::toUnit(x));
+    }
+
+    /** The reference: the first index whose cumulative bound exceeds u. */
+    unsigned
+    scan(double u) const
+    {
         for (unsigned i = 0; i < cumulative.size(); ++i) {
             if (u < cumulative[i])
                 return i;
@@ -121,8 +195,80 @@ class DiscreteSampler
     unsigned size() const { return cumulative.empty()
         ? 0 : static_cast<unsigned>(cumulative.size()); }
 
+    const DrawTable &drawTable() const { return table; }
+
   private:
     std::vector<double> cumulative;
+    DrawTable table;
+};
+
+/**
+ * Rng::bernoulli(p) for one fixed p as one integer test: the same
+ * draws, the same outcomes.
+ */
+class BernoulliSampler
+{
+  public:
+    explicit BernoulliSampler(double p)
+        : p(p), threshold(Rng::drawsBelow(p)), drawn(p > 0.0 && p < 1.0)
+    {}
+
+    bool
+    sample(Rng &rng) const
+    {
+        // p outside (0, 1): bernoulli() answers, without a draw.
+        return drawn ? rng.below(threshold) : rng.bernoulli(p);
+    }
+
+  private:
+    double p;
+    std::uint64_t threshold;
+    bool drawn;
+};
+
+/**
+ * Rng::geometric(p, cap) for one fixed (p, cap), table-driven: the
+ * same draws, the same values. The closed form is
+ * k = min(cap, floor(log1p(-u) / log1p(-p))), so k steps up at the
+ * thresholds t_k = -expm1(k * log1p(-p)). A bucket lying more than
+ * kMargin from every t_k holds one k; any other draw takes the closed
+ * form. The margin dwarfs the error of the closed form: log1p and the
+ * division are good to a few ulp of a ratio below 37 / |log1p(-p)|,
+ * which can move the floor only for u within ~2e-14 of a threshold,
+ * and the computed thresholds are good to ~3e-16.
+ */
+class GeometricSampler
+{
+  public:
+    GeometricSampler(double p, unsigned cap);
+
+    unsigned
+    sample(Rng &rng) const
+    {
+        // p outside (0, 1): geometric() answers without a draw (p >= 1)
+        // or dies of its assertion.
+        return drawn ? at(rng.next()) : rng.geometric(p, cap);
+    }
+
+    /** The value sample() returns for the next() value @p x. */
+    unsigned
+    at(std::uint64_t x) const
+    {
+        const std::uint8_t k = table[x];
+        return k != DrawTable::kStraddles
+            ? k : Rng::geometricAt(Rng::toUnit(x), log1pNegP, cap);
+    }
+
+    const DrawTable &drawTable() const { return table; }
+
+  private:
+    static constexpr double kMargin = 1e-9;
+
+    double p;
+    unsigned cap;
+    bool drawn;   ///< 0 < p < 1: every sample() makes one draw
+    double log1pNegP;
+    DrawTable table;
 };
 
 } // namespace dcg

@@ -23,6 +23,12 @@ JobSpec::validate(std::string &err) const
         err = "unknown benchmark '" + bench + "'";
         return false;
     }
+    if (insts > kMaxInstructions || warmup > kMaxInstructions) {
+        err = "insts " + std::to_string(insts) + " / warmup " +
+              std::to_string(warmup) + " exceed the limit of " +
+              std::to_string(kMaxInstructions);
+        return false;
+    }
     return true;
 }
 

@@ -125,8 +125,16 @@ struct JobSpec
     bool roundRobin = false;
 
     /**
+     * Largest insts or warmup a spec may carry: above the paper's 500M
+     * measured instructions and every count the tree uses (600k at
+     * most), far below where a run's cycle budget saturates.
+     */
+    static constexpr std::uint64_t kMaxInstructions = 1'000'000'000;
+
+    /**
      * Validate without terminating (the server must reject, not die):
-     * false + @p err on unknown benchmark/scheme.
+     * false + @p err on unknown benchmark/scheme, or on insts or
+     * warmup above kMaxInstructions.
      */
     bool validate(std::string &err) const;
 

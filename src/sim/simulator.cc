@@ -1,5 +1,6 @@
 #include "sim/simulator.hh"
 
+#include <limits>
 #include <ostream>
 
 #include "common/log.hh"
@@ -147,11 +148,21 @@ Simulator::resetMeasurement()
     measuredCycles = 0;
 }
 
+std::uint64_t
+Simulator::cycleCap(std::uint64_t instructions, std::uint64_t warmup)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t kSlack = 1'000'000;
+    if (instructions > kMax - warmup ||
+        instructions + warmup > (kMax - kSlack) / 100)
+        return kMax;
+    return (instructions + warmup) * 100 + kSlack;
+}
+
 void
 Simulator::run(std::uint64_t instructions, std::uint64_t warmup)
 {
-    const std::uint64_t cycle_cap =
-        (instructions + warmup) * 100 + 1'000'000;
+    const std::uint64_t cycle_cap = cycleCap(instructions, warmup);
 
     prewarmCaches();
     while (coreP->committedInsts() < warmup) {

@@ -154,9 +154,17 @@ class Simulator
 
     /**
      * Simulate @p warmup instructions (stats then reset), then
-     * @p instructions measured instructions.
+     * @p instructions measured instructions. fatal() as a deadlock
+     * once the core passes cycleCap(instructions, warmup).
      */
     void run(std::uint64_t instructions, std::uint64_t warmup);
+
+    /**
+     * run()'s cycle budget: 100 cycles per instruction plus 1M,
+     * saturating at UINT64_MAX rather than wrapping to a small budget.
+     */
+    static std::uint64_t cycleCap(std::uint64_t instructions,
+                                  std::uint64_t warmup);
 
     std::size_t lanes() const { return laneV.size(); }
 

@@ -11,8 +11,9 @@ TraceGenerator::TraceGenerator(const Profile &profile, std::uint64_t seed)
     : prof(profile),
       rng(seed ^ 0xdc6'0a7e5u),
       mixSampler(std::vector<double>(prof.mix.begin(), prof.mix.end())),
-      memSampler({prof.memory.fracStack, prof.memory.fracStride,
-                  prof.memory.fracRandom}),
+      twoSrcs(prof.deps.frac2Src),
+      high(phaseSamplers(prof, false)),
+      low(phaseSamplers(prof, true)),
       curPc(kCodeBase),
       stackPtr(kDataBase)
 {
@@ -20,17 +21,32 @@ TraceGenerator::TraceGenerator(const Profile &profile, std::uint64_t seed)
     DCG_ASSERT(prof.codeFootprintBytes >= 4096, "code footprint too small");
     buildBranches();
     buildStreams();
-
-    // Low-ILP phases also lean harder on the pointer region.
-    const MemoryBehavior &mb = prof.memory;
-    const double boosted = std::min(1.0, mb.fracRandom *
-                                    prof.phases.lowMissScale);
-    const double rest = mb.fracStack + mb.fracStride;
-    const double scale = rest > 0.0 ? (1.0 - boosted) / rest : 0.0;
-    memSamplerLow = DiscreteSampler({mb.fracStack * scale,
-                                     mb.fracStride * scale, boosted});
     lowPhase = true;   // first advancePhase() flips to the high phase
     advancePhase();
+}
+
+TraceGenerator::PhaseSamplers
+TraceGenerator::phaseSamplers(const Profile &prof, bool low)
+{
+    const MemoryBehavior &mb = prof.memory;
+    const DependenceBehavior &d = prof.deps;
+    std::vector<double> mem{mb.fracStack, mb.fracStride, mb.fracRandom};
+    double ready_p = d.srcReadyProb;
+    double geo_p = d.depGeoP;
+    if (low) {
+        // Low-ILP phases have fewer ready operands, shorter dependence
+        // distances, and lean harder on the pointer region.
+        const PhaseBehavior &ph = prof.phases;
+        const double boosted = std::min(1.0, mb.fracRandom *
+                                        ph.lowMissScale);
+        const double rest = mb.fracStack + mb.fracStride;
+        const double scale = rest > 0.0 ? (1.0 - boosted) / rest : 0.0;
+        mem = {mb.fracStack * scale, mb.fracStride * scale, boosted};
+        ready_p *= ph.lowReadyScale;
+        geo_p = std::min(0.95, geo_p * ph.lowGeoScale);
+    }
+    return {DiscreteSampler(mem), BernoulliSampler(ready_p),
+            GeometricSampler(geo_p, d.depDistCap - 1)};
 }
 
 void
@@ -59,6 +75,10 @@ TraceGenerator::buildBranches()
     const BranchMixture &bm = prof.branches;
     DiscreteSampler kinds({bm.fracStronglyTaken, bm.fracStronglyNotTaken,
                            bm.fracLoop, bm.fracRandom});
+    // Taken threshold by BranchKind; a Loop branch follows its period.
+    const std::uint64_t takenBelow[] = {Rng::drawsBelow(0.995),
+                                        Rng::drawsBelow(0.005), 0,
+                                        Rng::drawsBelow(0.5)};
 
     branchTable.reserve(prof.numStaticBranches);
     for (unsigned i = 0; i < prof.numStaticBranches; ++i) {
@@ -72,6 +92,7 @@ TraceGenerator::buildBranches()
                              rng.nextBounded(prof.codeFootprintBytes / 4)
                              * 4);
         br.kind = static_cast<BranchKind>(kinds.sample(rng));
+        br.takenBelow = takenBelow[static_cast<unsigned>(br.kind)];
         br.loopPeriod = static_cast<unsigned>(rng.uniformInt(4, 24));
         br.loopCount = 0;
         branchTable.push_back(br);
@@ -99,7 +120,12 @@ TraceGenerator::buildStreams()
 Addr
 TraceGenerator::wrapCode(Addr pc) const
 {
-    const Addr off = (pc - kCodeBase) % prof.codeFootprintBytes;
+    // Every pc passed here is less than one footprint past the region
+    // (a wrapped pc + 4, or an in-range offset), so one subtract is the
+    // modulo.
+    Addr off = pc - kCodeBase;
+    if (off >= prof.codeFootprintBytes)
+        off -= prof.codeFootprintBytes;
     return kCodeBase + (off & ~Addr{3});
 }
 
@@ -107,9 +133,7 @@ Addr
 TraceGenerator::nextDataAddr()
 {
     const MemoryBehavior &mb = prof.memory;
-    const DiscreteSampler &sampler = lowPhase ? memSamplerLow
-                                              : memSampler;
-    switch (sampler.sample(rng)) {
+    switch ((lowPhase ? low : high).mem.sample(rng)) {
       case 0: {
         // Stack: short strided walks within a small hot region.
         stackPtr += 8;
@@ -137,22 +161,11 @@ TraceGenerator::nextDataAddr()
 void
 TraceGenerator::fillDeps(MicroOp &op)
 {
-    const DependenceBehavior &d = prof.deps;
-    double ready_p = d.srcReadyProb;
-    double geo_p = d.depGeoP;
-    if (lowPhase) {
-        ready_p *= prof.phases.lowReadyScale;
-        geo_p = std::min(0.95, geo_p * prof.phases.lowGeoScale);
-    }
-    op.numSrcs = rng.bernoulli(d.frac2Src) ? 2 : 1;
-    for (unsigned i = 0; i < op.numSrcs; ++i) {
-        if (rng.bernoulli(ready_p)) {
-            op.srcDist[i] = 0;
-        } else {
-            unsigned dist = 1 + rng.geometric(geo_p, d.depDistCap - 1);
-            op.srcDist[i] = dist;
-        }
-    }
+    const PhaseSamplers &ph = lowPhase ? low : high;
+    op.numSrcs = twoSrcs.sample(rng) ? 2 : 1;
+    for (unsigned i = 0; i < op.numSrcs; ++i)
+        op.srcDist[i] = ph.srcReady.sample(rng)
+            ? 0 : 1 + ph.depDist.sample(rng);
 }
 
 MicroOp
@@ -165,20 +178,9 @@ TraceGenerator::next()
         StaticBranch &br = branchTable[rng.nextBounded(branchTable.size())];
         op.pc = br.pc;
         op.target = br.target;
-        switch (br.kind) {
-          case BranchKind::StronglyTaken:
-            op.taken = rng.bernoulli(0.995);
-            break;
-          case BranchKind::StronglyNotTaken:
-            op.taken = rng.bernoulli(0.005);
-            break;
-          case BranchKind::Loop:
-            op.taken = (++br.loopCount % br.loopPeriod) != 0;
-            break;
-          case BranchKind::Random:
-            op.taken = rng.bernoulli(0.5);
-            break;
-        }
+        op.taken = br.kind == BranchKind::Loop
+            ? (++br.loopCount % br.loopPeriod) != 0
+            : rng.below(br.takenBelow);
         curPc = op.taken ? br.target : wrapCode(br.pc + 4);
     } else {
         op.pc = curPc;
@@ -193,9 +195,9 @@ TraceGenerator::next()
         op.numSrcs = 2;  // address and data
         if (op.srcDist[1] == 0 && op.srcDist[0] == 0) {
             // keep stores occasionally dependent on recent producers
-            op.srcDist[1] = rng.bernoulli(prof.deps.srcReadyProb)
-                ? 0 : 1 + rng.geometric(prof.deps.depGeoP,
-                                        prof.deps.depDistCap - 1);
+            // (drawn with the profile's own parameters in both phases)
+            op.srcDist[1] = high.srcReady.sample(rng)
+                ? 0 : 1 + high.depDist.sample(rng);
         }
     }
 

@@ -53,6 +53,8 @@ class TraceGenerator : public InstSource
         Addr pc;
         Addr target;
         BranchKind kind;
+        /** Rng::drawsBelow(taken probability); unused for Loop. */
+        std::uint64_t takenBelow;
         unsigned loopPeriod;   ///< for Loop kind
         unsigned loopCount;    ///< dynamic loop position
     };
@@ -65,6 +67,16 @@ class TraceGenerator : public InstSource
         unsigned stride;
     };
 
+    /** The draws whose distribution changes with the program phase. */
+    struct PhaseSamplers
+    {
+        DiscreteSampler mem;        ///< stack / stride / pointer access
+        BernoulliSampler srcReady;  ///< operand has no in-flight producer
+        GeometricSampler depDist;   ///< producer distance - 1
+    };
+
+    static PhaseSamplers phaseSamplers(const Profile &prof, bool low);
+
     void buildBranches();
     void buildStreams();
 
@@ -76,7 +88,9 @@ class TraceGenerator : public InstSource
     Profile prof;
     Rng rng;
     DiscreteSampler mixSampler;
-    DiscreteSampler memSampler;
+    BernoulliSampler twoSrcs;
+    PhaseSamplers high;   ///< the profile's own parameters
+    PhaseSamplers low;    ///< scaled for the low-ILP phase
 
     std::vector<StaticBranch> branchTable;
     std::vector<StrideStream> streams;
@@ -88,7 +102,6 @@ class TraceGenerator : public InstSource
     /** Program-phase state (PLB exploits within-program ILP swings). */
     bool lowPhase = false;
     InstSeq phaseLeft = 0;
-    DiscreteSampler memSamplerLow;
 };
 
 } // namespace dcg

@@ -79,6 +79,33 @@ TEST(Protocol, JobSpecValidationRejectsWithoutDying)
     EXPECT_NE(err.find("turbo"), std::string::npos);
 }
 
+TEST(Protocol, JobSpecInstructionCountsAreBounded)
+{
+    std::string err;
+    JobSpec s;
+    s.insts = JobSpec::kMaxInstructions;
+    s.warmup = JobSpec::kMaxInstructions;
+    EXPECT_TRUE(s.validate(err)) << err;
+
+    for (const std::uint64_t n : {JobSpec::kMaxInstructions + 1,
+                                  std::uint64_t{1} << 62}) {
+        JobSpec insts;
+        insts.insts = n;
+        EXPECT_FALSE(insts.validate(err)) << n;
+        EXPECT_NE(err.find(std::to_string(n)), std::string::npos) << err;
+        JobSpec warmup;
+        warmup.warmup = n;
+        EXPECT_FALSE(warmup.validate(err)) << n;
+        EXPECT_NE(err.find(std::to_string(n)), std::string::npos) << err;
+    }
+
+    // The wire path rejects the same spec.
+    JobSpec out;
+    JsonValue v = JobSpec().toJson();
+    v.set("insts", JsonValue::integer(std::uint64_t{1} << 62));
+    EXPECT_FALSE(JobSpec::fromJson(v, out, err));
+}
+
 TEST(Protocol, JobSpecToJobMatchesPresets)
 {
     JobSpec s;

@@ -2,8 +2,9 @@
  * End-to-end tests for dcgserved's Server + ClusterClient: remote
  * execution bit-identical to a local Engine, the stats surface,
  * backpressure on a full queue, bad-request tolerance (a pathologically
- * nested request line, an out-of-range replica count and the retired
- * job-id verbs and submit forms included), the requests_inflight
+ * nested request line, an out-of-range replica count, an oversized
+ * instruction count and the retired job-id verbs and submit forms
+ * included), the requests_inflight
  * gauge of submits still owed a reply, warm resubmission, and the
  * cold-restart-from-store acceptance path (0 simulations).
  */
@@ -267,6 +268,30 @@ TEST(Server, MalformedAndUnknownRequestsAreRejectedNotFatal)
     EXPECT_GE(stats.get("bad_requests").asU64(), 6u);
     EXPECT_EQ(stats.get("jobs_submitted").asU64(), 0u);
     EXPECT_EQ(stats.get("requests_inflight").asU64(99), 0u);
+}
+
+TEST(Server, OversizedInstructionCountIsRejectedNotFatal)
+{
+    // 2^62 instructions once wrapped the run's cycle cap to 7M cycles,
+    // and the node died of a "deadlock" a few seconds in.
+    ServerFixture fx;
+    ClusterClient client({fx.endpoint()});
+    JobSpec huge;
+    huge.insts = std::uint64_t{1} << 62;
+    JsonValue submit = JsonValue::object();
+    submit.set("op", JsonValue::string("submit"));
+    submit.set("job", huge.toJson());
+    JsonValue resp = client.roundTrip(submit);
+    EXPECT_FALSE(resp.get("ok").asBool(true)) << resp.dump();
+    EXPECT_EQ(resp.get("error").asString(), "bad_request");
+
+    JobSpec s;
+    s.insts = kInsts;
+    s.warmup = kWarmup;
+    submit.set("job", s.toJson());
+    resp = client.roundTrip(submit);
+    EXPECT_TRUE(resp.get("ok").asBool(false)) << resp.dump();
+    EXPECT_EQ(client.stats().get("simulations").asU64(), 1u);
 }
 
 TEST(Server, SubmitIsAnsweredOnceWithItsResultOnly)

@@ -8,7 +8,8 @@
  * This pins the fast-core machinery (SoA window, event-driven wakeup,
  * flat counters, idle skip-ahead) to exact output: any change that
  * perturbs simulation results — however slightly — fails here before
- * it can silently shift the paper's figures.
+ * it can silently shift the paper's figures. The stream pins below do
+ * the same for the trace generator alone, over 1M ops per profile.
  *
  * Regeneration is deliberately manual:
  *
@@ -34,6 +35,7 @@
 #include "sim/presets.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
+#include "trace/generator.hh"
 #include "trace/spec2000.hh"
 
 namespace {
@@ -152,6 +154,84 @@ sanitize(const ::testing::TestParamInfo<std::string> &info)
 INSTANTIATE_TEST_SUITE_P(AllRegisteredSchemes, GoldenReport,
                          ::testing::ValuesIn(gating::schemes().names()),
                          sanitize);
+
+/**
+ * Stream pins: a digest of every MicroOp field of each SPEC profile's
+ * first 1M generated ops at seed 1. The corpus above sees only a few
+ * thousand ops per profile; this pins every draw the generator makes,
+ * so a sampler change that moves a single op fails here.
+ */
+struct StreamPin
+{
+    const char *profile;
+    std::uint64_t digest;
+};
+
+constexpr StreamPin kStreamPins[] = {
+    {"gzip", 0xf46114455d8fcde5ULL},
+    {"gcc", 0xaf7fba7d81be8538ULL},
+    {"mcf", 0x14c9e02390eb0926ULL},
+    {"parser", 0x5b65dba0bf062160ULL},
+    {"perlbmk", 0xfe7f45ac97326185ULL},
+    {"vortex", 0x6a087ccc274394fdULL},
+    {"bzip2", 0x240e46f10f75a658ULL},
+    {"twolf", 0x4cfd6c8fd29c633fULL},
+    {"wupwise", 0x187447f75aab9657ULL},
+    {"swim", 0xab55ad837822f2ccULL},
+    {"applu", 0x36bb3544f5034c93ULL},
+    {"art", 0xd167ac06fb3e0e17ULL},
+    {"equake", 0xefb50d0c96dd9127ULL},
+    {"ammp", 0xf97e29b79f485820ULL},
+    {"lucas", 0x13bcff85c3770092ULL},
+    {"apsi", 0x85aee4789d472c2aULL},
+};
+
+constexpr std::uint64_t kPinnedOps = 1'000'000;
+
+std::uint64_t
+streamDigest(const Profile &profile)
+{
+    TraceGenerator gen(profile, 1);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t word) {
+        h = (h ^ word) * 0x100000001b3ULL;
+        h ^= h >> 32;
+    };
+    for (std::uint64_t i = 0; i < kPinnedOps; ++i) {
+        const MicroOp op = gen.next();
+        mix(static_cast<std::uint64_t>(op.cls) |
+            std::uint64_t{op.numSrcs} << 8 |
+            std::uint64_t{op.taken} << 16);
+        mix(std::uint64_t{op.srcDist[0]} |
+            std::uint64_t{op.srcDist[1]} << 32);
+        mix(op.pc);
+        mix(op.target);
+        mix(op.effAddr);
+    }
+    return h;
+}
+
+class StreamDigest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(StreamDigest, FirstMillionOpsMatchPin)
+{
+    const std::string &name = GetParam();
+    const StreamPin *pin = nullptr;
+    for (const StreamPin &p : kStreamPins)
+        if (name == p.profile)
+            pin = &p;
+    const std::uint64_t actual = streamDigest(profileByName(name));
+    ASSERT_NE(pin, nullptr) << "no stream pin for " << name
+                            << "; its digest is 0x" << std::hex
+                            << actual;
+    EXPECT_EQ(actual, pin->digest)
+        << name << " stream moved: digest 0x" << std::hex << actual;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSpecProfiles, StreamDigest,
+                         ::testing::ValuesIn(allSpecNames()), sanitize);
 
 /**
  * The corpus contains no strays: exactly one file per registered

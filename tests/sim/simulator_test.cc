@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "gating/registry.hh"
@@ -16,6 +17,22 @@ TEST(Simulator, RunsRequestedInstructionCount)
     sim.run(20000, 5000);
     EXPECT_GE(sim.core().committedInsts(), 20000u);
     EXPECT_GT(sim.power().cycles(), 0u);
+}
+
+TEST(Simulator, CycleCapSaturatesInsteadOfWrapping)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(Simulator::cycleCap(1000, 500), 1'150'000u);
+    EXPECT_EQ(Simulator::cycleCap(0, 0), 1'000'000u);
+    // 2^62 instructions wrapped the unsaturated sum to 7,000,000.
+    EXPECT_EQ(Simulator::cycleCap(std::uint64_t{1} << 62, 0), kMax);
+    EXPECT_EQ(Simulator::cycleCap(0, std::uint64_t{1} << 62), kMax);
+    EXPECT_EQ(Simulator::cycleCap(kMax, 0), kMax);
+    EXPECT_EQ(Simulator::cycleCap(kMax, kMax), kMax);
+    // The largest count that still fits, and one past it.
+    const std::uint64_t top = (kMax - 1'000'000) / 100;
+    EXPECT_EQ(Simulator::cycleCap(top, 0), top * 100 + 1'000'000);
+    EXPECT_EQ(Simulator::cycleCap(top, 1), kMax);
 }
 
 TEST(Simulator, WarmupResetsMeasurement)
